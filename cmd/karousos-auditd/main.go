@@ -129,7 +129,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	maxAge := fs.Duration("epoch-max-age", 0, "seal non-empty epochs older than this (0 = disabled)")
 	seed := fs.Int64("seed", 42, "scheduler seed")
 	drain := fs.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
-	commit := fs.String("commit", "group", "trace commit mode: group (one fsync per batch), per-request (one fsync per append), async")
+	commit := fs.String("commit", "group", "trace commit mode: group (one fsync per batch), per-request (one fsync per append)")
 	maxInflight := fs.Int("max-inflight", 0, "admission window: max requests between admit and durable commit (0 = default 256)")
 	maxQueuedBytes := fs.Int64("max-queued-bytes", 0, "admission ceiling on queued request bytes (0 = default 32 MiB)")
 	retryAfter := fs.Duration("retry-after", 0, "base Retry-After hint on 429 responses (0 = default 1s)")

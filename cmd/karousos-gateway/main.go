@@ -118,7 +118,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	epochReqs := fs.Int("epoch-requests", 50, "per-shard seal threshold (-local mode)")
 	maxAge := fs.Duration("epoch-max-age", 0, "seal non-empty epochs older than this (0 = disabled, -local mode)")
 	seed := fs.Int64("seed", 42, "scheduler seed; shard s serves with seed+s (-local mode)")
-	commit := fs.String("commit", "group", "trace commit mode per shard: group, per-request, async (-local mode)")
+	commit := fs.String("commit", "group", "trace commit mode per shard: group, per-request (-local mode)")
 	maxInflight := fs.Int("max-inflight", 0, "per-shard admission window (0 = default, -local mode)")
 	drain := fs.Duration("drain", 15*time.Second, "grace period for in-flight requests on shutdown")
 	perTry := fs.Duration("per-try-timeout", 0, "per-attempt budget on proxied requests (0 = default 2s)")
@@ -132,10 +132,16 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	tuning := gateway.Tuning{
 		PerTryTimeout:   *perTry,
-		MaxRetries:      *maxRetries,
 		BreakerFailures: *breakerFailures,
 		BreakerOpenFor:  *breakerOpenFor,
 		HedgeAfter:      *hedgeAfter,
+	}
+	// -max-retries counts extra attempts; the backoff counts tries.
+	switch {
+	case *maxRetries < 0:
+		tuning.Backoff.Attempts = 1
+	case *maxRetries > 0:
+		tuning.Backoff.Attempts = *maxRetries + 1
 	}
 	var transport http.RoundTripper
 	if *netfaultSpec != "" {

@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
 	slowEvery := fs.Int("slow-every", 0, "trickle every Nth request body through a slow chunked reader (0 = never)")
 	epochReqs := fs.Int("epoch-requests", 50, "self-contained collector: seal after this many requests")
-	commit := fs.String("commit", "group", "self-contained collector: commit mode (group, per-request, async)")
+	commit := fs.String("commit", "group", "self-contained collector: commit mode (group, per-request)")
 	maxInflight := fs.Int("max-inflight", 0, "self-contained collector: admission window (0 = default)")
 	maxQueuedBytes := fs.Int64("max-queued-bytes", 0, "self-contained collector: queued-bytes ceiling (0 = default)")
 	audit := fs.Bool("audit", false, "after the run, re-audit the sealed log at workers 1 and 4 and require identical clean verdicts (self-contained mode only)")

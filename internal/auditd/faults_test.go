@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,8 @@ import (
 	"karousos.dev/karousos/internal/core"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
+	"karousos.dev/karousos/internal/kvstore"
+	"karousos.dev/karousos/internal/mv"
 )
 
 var quietBackoff = iofault.Backoff{Sleep: func(time.Duration) {}}
@@ -260,6 +263,8 @@ func TestFreshBoundaryReanchorsAfterUnauditable(t *testing.T) {
 // TestSupervisorRestartsOnInfraError: an incarnation dying on an
 // infrastructure failure (checkpoint fsync) is restarted from the durable
 // checkpoint and finishes the backlog with no verdict lost or repeated.
+// The passes are driven with Step, so the count is exact: one failure, one
+// rebuild, no race with a poller that cancels mid-rebuild.
 func TestSupervisorRestartsOnInfraError(t *testing.T) {
 	dir := t.TempDir()
 	sealEpochs(t, dir, nil, 30, 10)
@@ -276,29 +281,19 @@ func TestSupervisorRestartsOnInfraError(t *testing.T) {
 		Checkpoint: ckpt,
 		FS:         inj,
 		Backoff:    quietBackoff,
-		Poll:       5 * time.Millisecond,
-	}, SupervisorOptions{MaxRestarts: 3, Backoff: iofault.Backoff{Base: time.Millisecond}})
+	}, 3)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-	deadline := time.After(10 * time.Second)
-	for {
-		st, _ := sup.Status()
-		if st.LastProcessed >= 3 {
+	ctx := context.Background()
+	for pass := 0; ; pass++ {
+		if _, err := sup.Step(ctx); err != nil {
+			t.Fatalf("supervised pass %d: %v", pass, err)
+		}
+		if st, _ := sup.Status(); st.LastProcessed >= 3 {
 			break
 		}
-		select {
-		case err := <-done:
-			t.Fatalf("supervisor exited early: %v", err)
-		case <-deadline:
+		if pass > 3 {
 			t.Fatal("supervisor never drained the log")
-		case <-time.After(time.Millisecond):
 		}
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("supervised run: %v", err)
 	}
 	_, restarts := sup.Status()
 	if restarts != 1 {
@@ -336,7 +331,7 @@ func TestSupervisorStopsOnHonestReject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sup := NewSupervisor(Config{Dir: dir, Poll: 5 * time.Millisecond}, SupervisorOptions{})
+	sup := NewSupervisor(Config{Dir: dir, Poll: 5 * time.Millisecond}, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err = sup.Run(ctx)
@@ -346,5 +341,94 @@ func TestSupervisorStopsOnHonestReject(t *testing.T) {
 	}
 	if _, restarts := sup.Status(); restarts != 0 {
 		t.Fatalf("supervisor restarted %d times on an honest reject", restarts)
+	}
+}
+
+// TestSupervisorDecision is the single halt-or-rebuild decision, one row
+// per kind of pass failure: a coded reject halts with no restart, an
+// InternalFault and a plain I/O error each rebuild from the checkpoint,
+// and a cancelled context stops cleanly without a rebuild.
+func TestSupervisorDecision(t *testing.T) {
+	dir := t.TempDir()
+	sealEpochs(t, dir, nil, 10, 10)
+	corrupt := t.TempDir()
+	sealEpochs(t, corrupt, nil, 10, 10)
+	matches, err := filepath.Glob(filepath.Join(corrupt, "*.advice"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no advice files: %v %v", matches, err)
+	}
+	if err := os.WriteFile(matches[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// The first application built panics in every handler — the verifier
+	// contains that as an InternalFault — and every later one is honest.
+	var built atomic.Int32
+	faultyOnce := harness.AppSpec{Name: "motd", New: func() (*core.App, *kvstore.Store) {
+		app, store := harness.MOTDApp().New()
+		if built.Add(1) == 1 {
+			for id := range app.Funcs {
+				app.Funcs[id] = func(*core.Context, *mv.MV) { panic("handler bug") }
+			}
+		}
+		return app, store
+	}}
+
+	cases := []struct {
+		name     string
+		dir      string
+		spec     harness.AppSpec
+		ctx      context.Context
+		arm      func(*iofault.Injector)
+		restarts int
+		halted   core.RejectCode
+		first    core.RejectCode // the first verdict's code; "" accepted
+		wantErr  bool
+	}{
+		{name: "coded reject halts", dir: corrupt, halted: core.RejectMalformedAdvice, first: core.RejectMalformedAdvice},
+		{name: "internal fault rebuilds", dir: dir, spec: faultyOnce, restarts: 1, first: core.RejectInternalFault},
+		{name: "io error rebuilds", dir: dir, restarts: 1, arm: func(in *iofault.Injector) {
+			// One checkpoint fsync fails: a permanent I/O error past Retry.
+			in.Arm(iofault.OpFsyncFail, iofault.ArmConfig{Times: 1, PathContains: ".ckpt"})
+		}},
+		{name: "cancelled context stops", dir: dir, ctx: cancelled, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := iofault.NewInjector(nil)
+			if tc.arm != nil {
+				tc.arm(inj)
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			sup := NewSupervisor(Config{
+				Dir:        tc.dir,
+				Spec:       tc.spec,
+				Checkpoint: filepath.Join(t.TempDir(), "auditd.ckpt"),
+				FS:         inj,
+				Backoff:    quietBackoff,
+			}, 3)
+			_, err := sup.Step(ctx)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Step error = %v, want error %v", err, tc.wantErr)
+			}
+			if _, restarts := sup.Status(); restarts != tc.restarts {
+				t.Fatalf("restarts = %d, want %d", restarts, tc.restarts)
+			}
+			var code core.RejectCode
+			if rej := sup.Halted(); rej != nil {
+				code = rej.Code
+			}
+			if code != tc.halted {
+				t.Fatalf("halted on %q, want %q", code, tc.halted)
+			}
+			if vs := sup.Verdicts(); len(vs) > 0 && vs[0].Code != tc.first {
+				t.Fatalf("first verdict %+v, want code %q", vs[0], tc.first)
+			}
+		})
 	}
 }

@@ -38,7 +38,8 @@ type PipelineOptions struct {
 	// FS threads an injectable filesystem through the collector and
 	// auditor; nil means the real OS.
 	FS iofault.FS
-	// MaxRestarts bounds the audit-loop supervisor; 0 takes its default.
+	// MaxRestarts bounds the audit supervisor's rebuilds per pass; 0 takes
+	// its default.
 	MaxRestarts int
 	// AuditWorkers is each epoch audit's parallelism; see Config.AuditWorkers.
 	AuditWorkers int
@@ -117,7 +118,7 @@ func RunPipeline(ctx context.Context, spec harness.AppSpec, reqs []server.Reques
 		FS:           opts.FS,
 		AuditWorkers: opts.AuditWorkers,
 		MemoMaxBytes: opts.MemoMaxBytes,
-	}, SupervisorOptions{MaxRestarts: opts.MaxRestarts})
+	}, opts.MaxRestarts)
 	supPtr.Store(sup)
 	followCtx, stopFollow := context.WithCancel(ctx)
 	defer stopFollow()

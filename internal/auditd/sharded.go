@@ -58,8 +58,8 @@ type ShardedConfig struct {
 	// is an in-memory cache, so losing it costs re-execution, never
 	// correctness.
 	MemoMaxBytes int
-	// MaxRestarts bounds per-lane incarnation rebuilds after restartable
-	// failures, as in SupervisorOptions. Defaults to 3.
+	// MaxRestarts bounds each lane's incarnation rebuilds per pass after
+	// restartable failures, as in NewSupervisor. Defaults to 3.
 	MaxRestarts int
 	// Poll is the follow-mode polling interval. Defaults to 200ms.
 	Poll time.Duration
@@ -104,28 +104,16 @@ type ShardedResult struct {
 // Accepted reports whether the merged verdict cleared the topology.
 func (r ShardedResult) Accepted() bool { return r.Merge.Accepted() }
 
-// lane is one shard's audit pipeline: an Auditor plus its mini-supervision
-// state. A pass (step) exclusively owns its lane; the mutex covers
-// concurrent snapshots from Result.
+// lane is one shard's audit pipeline: the routing check in front of a
+// Supervisor. A pass (step) exclusively owns its lane; the supervisor's
+// lock covers concurrent snapshots from Result.
 type lane struct {
 	shard int
 	dir   string
-	cfg   Config // per-incarnation Auditor config
-
-	mu       sync.Mutex
-	aud      *Auditor // current incarnation; nil between incarnations
-	restarts int
-	// stats accumulates retired incarnations' work counters; the live
-	// incarnation's are added on snapshot.
-	stats verifier.Stats
-	last  Status // last retired incarnation's counters
+	sup   *Supervisor
 	// routedThrough is the newest epoch whose trace passed the routing
-	// check.
+	// check; only the pass that owns the lane touches it.
 	routedThrough uint64
-	// halted is the lane's sticky verdict: a rejection (the lane stops
-	// grading — re-running cannot change a verdict about the server).
-	halted   *Reject
-	verdicts []Verdict
 }
 
 // Sharded audits a sharded topology: one lane per shard directory.
@@ -168,9 +156,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Lanes <= 0 || cfg.Lanes > m.Shards {
 		cfg.Lanes = m.Shards
 	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 3
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 200 * time.Millisecond
 	}
@@ -185,7 +170,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	s := &Sharded{cfg: cfg, m: m}
 	for i, dir := range dirs {
 		l := &lane{shard: i, dir: dir}
-		l.cfg = Config{
+		lcfg := Config{
 			Dir:          dir,
 			Limits:       cfg.Limits,
 			AuditWorkers: cfg.AuditWorkers,
@@ -194,16 +179,12 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			Backoff:      cfg.Backoff,
 		}
 		if cfg.CheckpointDir != "" {
-			l.cfg.Checkpoint = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("checkpoint-shard-%02d.json", i))
+			lcfg.Checkpoint = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("checkpoint-shard-%02d.json", i))
 		}
-		l.cfg.OnVerdict = func(v Verdict) {
-			l.mu.Lock()
-			l.verdicts = append(l.verdicts, v)
-			l.mu.Unlock()
-			if cfg.OnVerdict != nil {
-				cfg.OnVerdict(l.shard, v)
-			}
+		if cfg.OnVerdict != nil {
+			lcfg.OnVerdict = func(v Verdict) { cfg.OnVerdict(l.shard, v) }
 		}
+		l.sup = NewSupervisor(lcfg, cfg.MaxRestarts)
 		s.lanes = append(s.lanes, l)
 	}
 	return s, nil
@@ -230,7 +211,7 @@ func (s *Sharded) RunOnce(ctx context.Context) (int, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			n, err := s.lanes[i].step(ctx, s.m, s.cfg.MaxRestarts)
+			n, err := s.lanes[i].step(ctx, s.m)
 			results[i] = stepResult{n: n, err: err}
 		}(i)
 	}
@@ -297,60 +278,22 @@ func (s *Sharded) Result() ShardedResult {
 	return res
 }
 
-// step is one lane pass: routing-check newly sealed epochs, then audit
-// them, rebuilding the lane's auditor from its checkpoint after
-// restartable failures. The caller owns the lane for the duration.
-func (l *lane) step(ctx context.Context, m shard.Map, maxRestarts int) (int, error) {
-	if l.haltedNow() != nil {
-		return 0, nil
-	}
+// step is one lane pass: routing-check newly sealed epochs, then one
+// supervised audit pass over them. The caller owns the lane for the
+// duration.
+func (l *lane) step(ctx context.Context, m shard.Map) (int, error) {
 	// Routing first, in epoch order: a trace carrying a request the map
 	// routes elsewhere poisons the shard's whole evidence stream — its
 	// carry may embed state that belongs to another shard — so it is
 	// checked before that evidence can shape a verdict. The check order is
 	// fixed (routing, then audit, per pass) so the lane's outcome does not
 	// depend on how sealing interleaved with audit passes.
-	if err := l.checkRouting(ctx, m); err != nil {
-		return 0, err
-	}
-	if l.haltedNow() != nil {
-		return 0, nil
-	}
-
-	processed := 0
-	for attempt := 0; ; attempt++ {
-		aud := l.current()
-		if aud == nil {
-			var err error
-			if aud, err = New(l.cfg); err != nil {
-				// Building an auditor needs only the trusted sidecar and the
-				// checkpoint: failure is infrastructure, and retrying within
-				// the same pass cannot help.
-				return processed, err
-			}
-			l.install(aud)
-		}
-		n, err := aud.RunOnce(ctx)
-		processed += n
-		if err == nil {
-			return processed, nil
-		}
-		if ctx.Err() != nil {
-			return processed, err
-		}
-		var rej *Reject
-		if errors.As(err, &rej) && rej.Code != core.RejectInternalFault {
-			l.halt(rej)
-			return processed, nil
-		}
-		// InternalFault or infrastructure: discard the incarnation (its
-		// in-memory state may be poisoned) and rebuild from the durable
-		// checkpoint, like the single-lane supervisor.
-		l.retire(aud)
-		if attempt >= maxRestarts {
-			return processed, fmt.Errorf("lane restart budget (%d) exhausted: %w", maxRestarts, err)
+	if l.sup.Halted() == nil {
+		if err := l.checkRouting(ctx, m); err != nil {
+			return 0, err
 		}
 	}
+	return l.sup.Step(ctx)
 }
 
 // checkRouting re-derives shard assignment for every request in newly
@@ -358,9 +301,10 @@ func (l *lane) step(ctx context.Context, m shard.Map, maxRestarts int) (int, err
 // the trace is trusted, so a misrouted request is evidence, not a grading
 // gap.
 func (l *lane) checkRouting(ctx context.Context, m shard.Map) error {
-	fsys := l.cfg.fs()
+	cfg := l.sup.cfg
+	fsys := cfg.fs()
 	var sealed []epochlog.Manifest
-	err := iofault.Retry(ctx, l.cfg.Backoff, func() error {
+	err := iofault.Retry(ctx, cfg.Backoff, func() error {
 		var lerr error
 		sealed, lerr = epochlog.ListSealedFS(fsys, l.dir)
 		return lerr
@@ -368,16 +312,16 @@ func (l *lane) checkRouting(ctx context.Context, m shard.Map) error {
 	if err != nil {
 		return err
 	}
-	opt := epochlog.Options{MaxAdviceBytes: l.cfg.Limits.MaxAdviceBytes, FS: l.cfg.FS}
+	opt := epochlog.Options{MaxAdviceBytes: cfg.Limits.MaxAdviceBytes, FS: cfg.FS}
 	for _, man := range sealed {
-		if man.Seq <= l.routedThroughNow() {
+		if man.Seq <= l.routedThrough {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var tr *trace.Trace
-		err := iofault.Retry(ctx, l.cfg.Backoff, func() error {
+		err := iofault.Retry(ctx, cfg.Backoff, func() error {
 			var rerr error
 			tr, _, _, rerr = epochlog.ReadSealed(l.dir, man.Seq, opt)
 			return rerr
@@ -386,90 +330,38 @@ func (l *lane) checkRouting(ctx context.Context, m shard.Map) error {
 			return fmt.Errorf("routing check, epoch %d: %w", man.Seq, err)
 		}
 		if rerr := m.CheckRouting(l.shard, tr); rerr != nil {
-			l.halt(&Reject{Epoch: man.Seq, Code: core.RejectShardConflict, Reason: rerr.Error()})
+			l.sup.halt(&Reject{Epoch: man.Seq, Code: core.RejectShardConflict, Reason: rerr.Error()}, true)
 			return nil
 		}
-		l.advanceRouted(man.Seq)
+		l.routedThrough = man.Seq
 	}
 	return nil
 }
 
-func (l *lane) haltedNow() *Reject {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.halted
-}
-
-func (l *lane) halt(rej *Reject) {
-	l.mu.Lock()
-	if l.halted == nil {
-		l.halted = rej
-		l.verdicts = append(l.verdicts, Verdict{Epoch: rej.Epoch, Code: rej.Code, Reason: rej.Reason})
-	}
-	l.mu.Unlock()
-}
-
-func (l *lane) current() *Auditor {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.aud
-}
-
-func (l *lane) install(a *Auditor) {
-	l.mu.Lock()
-	l.aud = a
-	l.mu.Unlock()
-}
-
-func (l *lane) retire(a *Auditor) {
-	st := a.Status()
-	l.mu.Lock()
-	l.stats.Add(st.Stats)
-	l.last = st
-	l.restarts++
-	l.aud = nil
-	l.mu.Unlock()
-}
-
-func (l *lane) routedThroughNow() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.routedThrough
-}
-
-func (l *lane) advanceRouted(seq uint64) {
-	l.mu.Lock()
-	if seq > l.routedThrough {
-		l.routedThrough = seq
-	}
-	l.mu.Unlock()
-}
-
 // snapshot builds the lane's report and its merge-check outcome.
 func (l *lane) snapshot() (ShardReport, shard.Outcome) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.last
+	sup := l.sup
+	sup.mu.Lock()
+	defer sup.mu.Unlock()
+	st := sup.statusLocked()
 	var carry *verifier.CarryState
 	unanchored := false
-	if l.aud != nil {
-		st = l.aud.Status()
-		carry = l.aud.Carry()
-		unanchored = l.aud.Unanchored()
+	if sup.aud != nil {
+		carry = sup.aud.Carry()
+		unanchored = sup.aud.Unanchored()
 	}
-	st.Stats.Add(l.stats)
 	rep := ShardReport{
 		Shard:    l.shard,
 		Dir:      l.dir,
 		Status:   st,
-		Restarts: l.restarts,
-		Verdicts: append([]Verdict(nil), l.verdicts...),
+		Restarts: sup.restarts,
+		Verdicts: append([]Verdict(nil), sup.verdicts...),
 	}
 	out := shard.Outcome{Shard: l.shard, Dir: l.dir}
 	switch {
-	case l.halted != nil:
-		rep.Code, rep.Reason = l.halted.Code, l.halted.Reason
-		out.Code, out.Reason = l.halted.Code, l.halted.Reason
+	case sup.halted != nil:
+		rep.Code, rep.Reason = sup.halted.Code, sup.halted.Reason
+		out.Code, out.Reason = sup.halted.Code, sup.halted.Reason
 	case unanchored:
 		rep.Code = core.RejectUnauditable
 		rep.Reason = fmt.Sprintf("carry unanchored after epoch %d", st.LastProcessed)

@@ -24,7 +24,6 @@ package chaos
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -110,8 +109,8 @@ func (r *Result) VerdictKey() string {
 	return b.String()
 }
 
-// maxAuditorRebuilds bounds mini-supervision so a scenario whose faults
-// never heal terminates instead of spinning.
+// maxAuditorRebuilds bounds the auditor's supervision so a scenario whose
+// faults never heal terminates instead of spinning.
 const maxAuditorRebuilds = 16
 
 type runner struct {
@@ -126,7 +125,7 @@ type runner struct {
 
 	col *collectorhttp.Collector
 	ts  *httptest.Server
-	aud *auditd.Auditor
+	sup *auditd.Supervisor
 
 	res *Result
 	// graded remembers each epoch's first verdict code to check that
@@ -136,8 +135,6 @@ type runner struct {
 	// evidence is every evidence filename ever observed in logDir.
 	evidence   map[string]bool
 	prevSealed int
-	// halted is set when an honest rejection stopped the audit.
-	halted *auditd.Reject
 }
 
 // Run replays the scenario in dir (a scratch directory the caller owns)
@@ -175,9 +172,16 @@ func Run(dir string, sc Scenario) (*Result, error) {
 			r.col.Close()
 		}
 	}()
-	if err := r.newAuditor(); err != nil {
-		return nil, err
-	}
+	// Workers: 1 keeps the injector's fault schedule single-threaded.
+	r.sup = auditd.NewSupervisor(auditd.Config{
+		Dir:        r.logDir,
+		Spec:       spec,
+		Checkpoint: r.ckpt,
+		Workers:    1,
+		FS:         r.aInj,
+		Backoff:    r.back,
+		OnVerdict:  r.onVerdict,
+	}, maxAuditorRebuilds)
 
 	events := map[int][]Event{}
 	for _, ev := range sc.Events {
@@ -193,7 +197,7 @@ func Run(dir string, sc Scenario) (*Result, error) {
 			}
 		}
 		r.invoke(req)
-		if err := r.auditStep(ctx); err != nil {
+		if err := r.step(ctx); err != nil {
 			return r.res, err
 		}
 		r.checkInvariants()
@@ -221,15 +225,15 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	// forward progress is normal right after a rebuild. Only a long run of
 	// them means the drain is actually wedged.
 	stuck := 0
-	for r.halted == nil {
-		before := r.aud.Status().LastProcessed
+	for r.sup.Halted() == nil {
+		before := r.lastProcessed()
 		if before >= lastSeq {
 			break
 		}
-		if err := r.auditStep(ctx); err != nil {
+		if err := r.step(ctx); err != nil {
 			return r.res, err
 		}
-		if r.aud.Status().LastProcessed <= before {
+		if r.lastProcessed() <= before {
 			if stuck++; stuck > 2*maxAuditorRebuilds {
 				return r.res, fmt.Errorf("chaos: audit drain stuck at epoch %d of %d", before, lastSeq)
 			}
@@ -270,23 +274,6 @@ func (r *runner) openCollector() error {
 	return nil
 }
 
-func (r *runner) newAuditor() error {
-	a, err := auditd.New(auditd.Config{
-		Dir:        r.logDir,
-		Spec:       r.spec,
-		Checkpoint: r.ckpt,
-		Workers:    1, // keep the injector's fault schedule single-threaded
-		FS:         r.aInj,
-		Backoff:    r.back,
-		OnVerdict:  r.onVerdict,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos: auditor: %w", err)
-	}
-	r.aud = a
-	return nil
-}
-
 func (r *runner) apply(ev Event) error {
 	for _, f := range ev.Arm {
 		inj := r.cInj
@@ -316,10 +303,7 @@ func (r *runner) apply(ev Event) error {
 		}
 	}
 	if ev.CrashAuditor {
-		r.res.AuditorRestarts++
-		if err := r.newAuditor(); err != nil {
-			return err
-		}
+		r.sup.Crash()
 	}
 	return nil
 }
@@ -343,27 +327,25 @@ func (r *runner) invoke(req server.Request) {
 	}
 }
 
-// auditStep runs one RunOnce under mini-supervision: honest rejections
-// halt the audit (recorded, not an error); anything else — infrastructure
-// errors, InternalFault — rebuilds the auditor from its checkpoint.
-func (r *runner) auditStep(ctx context.Context) error {
-	if r.halted != nil {
-		return nil
+// step runs one supervised audit pass. Honest rejections halt the
+// supervisor (recorded, not an error); the supervisor rebuilds the auditor
+// from its checkpoint on anything else, and the run fails once rebuilds —
+// scripted kills included — pass the bound.
+func (r *runner) step(ctx context.Context) error {
+	_, err := r.sup.Step(ctx)
+	_, r.res.AuditorRestarts = r.sup.Status()
+	if err != nil {
+		return fmt.Errorf("chaos: auditor: %w", err)
 	}
-	_, err := r.aud.RunOnce(ctx)
-	if err == nil {
-		return nil
-	}
-	var rej *auditd.Reject
-	if errors.As(err, &rej) && rej.Code != core.RejectInternalFault {
-		r.halted = rej
-		return nil
-	}
-	r.res.AuditorRestarts++
 	if r.res.AuditorRestarts > maxAuditorRebuilds {
-		return fmt.Errorf("chaos: auditor exceeded %d rebuilds; last error: %w", maxAuditorRebuilds, err)
+		return fmt.Errorf("chaos: auditor exceeded %d rebuilds", maxAuditorRebuilds)
 	}
-	return r.newAuditor()
+	return nil
+}
+
+func (r *runner) lastProcessed() uint64 {
+	st, _ := r.sup.Status()
+	return st.LastProcessed
 }
 
 func (r *runner) onVerdict(v auditd.Verdict) {

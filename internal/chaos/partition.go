@@ -35,6 +35,7 @@ import (
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/value"
@@ -192,11 +193,10 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 	inj.MaxBlock = 50 * time.Millisecond
 	tuning := gateway.Tuning{
 		PerTryTimeout:   250 * time.Millisecond,
-		MaxRetries:      2,
 		BreakerFailures: 3,
 		BreakerOpenFor:  150 * time.Millisecond,
 		RetryAfter:      time.Second,
-		Backoff:         netfault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+		Backoff:         iofault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3},
 	}
 
 	root := filepath.Join(dir, "shards")
@@ -240,7 +240,7 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 			if sc.Fault == PartitionFlap {
 				op = netfault.OpFlap
 			}
-			if err := inj.Arm(op, netfault.ArmConfig{Seed: sc.Seed, Times: -1, TargetContains: victimHost}); err != nil {
+			if err := inj.Arm(op, iofault.ArmConfig{Seed: sc.Seed, Times: -1, PathContains: victimHost}); err != nil {
 				return res, err
 			}
 			faultArmed = true

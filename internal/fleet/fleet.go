@@ -23,6 +23,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"karousos.dev/karousos/internal/iofault"
 )
 
 // MemberSpec describes one supervised process.
@@ -71,7 +73,7 @@ type Config struct {
 	// ReadyTimeout bounds one member's readiness wait (default 15s).
 	ReadyTimeout time.Duration
 	// RestartBackoff is the delay before the first restart, doubling per
-	// consecutive restart (default 100ms).
+	// consecutive restart up to maxRestartDelay (default 100ms).
 	RestartBackoff time.Duration
 	// Logf receives supervisor events (spawn, crash, restart, stop). nil
 	// writes "[fleet] " lines to Output when that is set, else discards.
@@ -95,9 +97,14 @@ type member struct {
 	dead     chan struct{} // closed when the monitor gives up for good
 }
 
+// maxRestartDelay caps the doubling restart delay: a member deep into a
+// large -restart-budget waits seconds between restarts, not hours.
+const maxRestartDelay = 5 * time.Second
+
 // Supervisor runs a fleet of member processes.
 type Supervisor struct {
 	cfg     Config
+	backoff iofault.Backoff // paces restarts
 	logf    func(string, ...any)
 	out     *syncWriter
 	members []*member
@@ -120,7 +127,11 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = 100 * time.Millisecond
 	}
-	s := &Supervisor{cfg: cfg, byName: make(map[string]*member, len(cfg.Members))}
+	s := &Supervisor{
+		cfg:     cfg,
+		backoff: iofault.Backoff{Base: cfg.RestartBackoff, Max: max(cfg.RestartBackoff, maxRestartDelay)},
+		byName:  make(map[string]*member, len(cfg.Members)),
+	}
 	if cfg.Output != nil {
 		// One lock serializes every writer into Output: member stdout/stderr
 		// copiers and the supervisor's own log lines all interleave here.
@@ -231,7 +242,7 @@ func (s *Supervisor) monitor(m *member, cmd *exec.Cmd) {
 	}
 	// Crash: pay one restart, with a doubling backoff so a hot-crashing
 	// member cannot spin the supervisor.
-	delay := s.cfg.RestartBackoff << uint(restarts)
+	delay := s.backoff.Delay(restarts)
 	s.logf("fleet: %s died (%s); restart %d/%d in %v", m.spec.Name, exit, restarts+1, m.budget, delay)
 	time.Sleep(delay)
 	m.mu.Lock()

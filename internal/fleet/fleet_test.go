@@ -209,3 +209,21 @@ func (l *lockedBuffer) String() string {
 	defer l.mu.Unlock()
 	return l.b.String()
 }
+
+// TestRestartDelayCapped: the restart delay doubles from RestartBackoff but
+// stays capped however deep a member is into a user-set budget — restart
+// 20 must not sleep for hours, and restart 40 must not overflow the shift.
+func TestRestartDelayCapped(t *testing.T) {
+	sup, err := New(Config{Members: []MemberSpec{shMember("m", "exit 0", 50)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, restarts := range []int{0, 20, 37, 40} {
+		if d := sup.backoff.Delay(restarts); d <= 0 || d > sup.backoff.Max {
+			t.Fatalf("restart %d delay %v, want in (0, %v]", restarts, d, sup.backoff.Max)
+		}
+	}
+	if sup.backoff.Max != maxRestartDelay {
+		t.Fatalf("restart delay cap %v, want %v", sup.backoff.Max, maxRestartDelay)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/netfault"
 )
 
@@ -19,10 +20,6 @@ type Tuning struct {
 	// turns a blackholed backend into a classified, breaker-countable
 	// failure instead of a hung client.
 	PerTryTimeout time.Duration
-	// MaxRetries bounds extra attempts per /invoke after the first
-	// (default 2). Only provably-unsent requests are ever retried —
-	// netfault.ClassRetryable — because /invoke is not idempotent.
-	MaxRetries int
 	// RetryBudget caps stored retry tokens (default 16); RetryBudgetRatio
 	// is the fraction of proxied requests that earn a token (default 0.2,
 	// i.e. retries may add at most ~20% load on top of offered traffic).
@@ -39,18 +36,19 @@ type Tuning struct {
 	HedgeAfter time.Duration
 	// RetryAfter is the hint stamped on gateway-degraded 503s (default 1s).
 	RetryAfter time.Duration
-	// Backoff shapes the retry delays (zero = 10ms base, 250ms max).
-	Backoff netfault.Backoff
+	// Backoff shapes the /invoke retries: Attempts bounds the tries
+	// including the first (default 3), Base and Max the delays (default
+	// 10ms, 250ms). Only provably-unsent requests are ever retried —
+	// netfault.ClassRetryable — because /invoke is not idempotent.
+	Backoff iofault.Backoff
 }
 
 func (t Tuning) withDefaults() Tuning {
 	if t.PerTryTimeout <= 0 {
 		t.PerTryTimeout = 2 * time.Second
 	}
-	if t.MaxRetries < 0 {
-		t.MaxRetries = 0
-	} else if t.MaxRetries == 0 {
-		t.MaxRetries = 2
+	if t.Backoff.Attempts <= 0 {
+		t.Backoff.Attempts = 3
 	}
 	if t.RetryAfter <= 0 {
 		t.RetryAfter = time.Second
@@ -94,7 +92,7 @@ func (g *Gateway) forward(ctx context.Context, s int, raw []byte) (*proxied, err
 		if netfault.Classify(err) != netfault.ClassRetryable {
 			return nil, err
 		}
-		if attempt >= g.tuning.MaxRetries || ctx.Err() != nil {
+		if attempt+1 >= g.tuning.Backoff.Attempts || ctx.Err() != nil {
 			return nil, err
 		}
 		if !g.budget.spend() {
@@ -102,7 +100,7 @@ func (g *Gateway) forward(ctx context.Context, s int, raw []byte) (*proxied, err
 			return nil, err
 		}
 		g.count(s, func(c *ShardCounters) { c.Retries++ })
-		if err := sleepCtx(ctx, g.tuning.Backoff.Delay(attempt)); err != nil {
+		if err := g.tuning.Backoff.Wait(ctx, attempt); err != nil {
 			return nil, lastErr
 		}
 	}
@@ -132,17 +130,6 @@ func (g *Gateway) tryOnce(ctx context.Context, s int, raw []byte) (*proxied, err
 		}
 	}
 	return &proxied{status: resp.StatusCode, header: resp.Header, body: body}, nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // degrade answers a client whose shard cannot be reached: 503 with a

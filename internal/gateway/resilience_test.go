@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/iofault"
 	"karousos.dev/karousos/internal/netfault"
 	"karousos.dev/karousos/internal/value"
 	"karousos.dev/karousos/internal/workload"
@@ -19,11 +20,10 @@ import (
 func fastTuning() Tuning {
 	return Tuning{
 		PerTryTimeout:   500 * time.Millisecond,
-		MaxRetries:      2,
 		BreakerFailures: 3,
 		BreakerOpenFor:  80 * time.Millisecond,
 		RetryAfter:      time.Second,
-		Backoff:         netfault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
+		Backoff:         iofault.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3},
 	}
 }
 
@@ -38,7 +38,7 @@ func TestRetryTransparent(t *testing.T) {
 	defer top.Close()
 
 	in := netfault.NewInjector()
-	if err := in.Arm(netfault.OpConnRefused, netfault.ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(netfault.OpConnRefused, iofault.ArmConfig{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	gw, err := New(Config{
@@ -76,7 +76,7 @@ func TestNoRetryAfterForward(t *testing.T) {
 	defer top.Close()
 
 	in := netfault.NewInjector()
-	if err := in.Arm(netfault.OpConnReset, netfault.ArmConfig{Times: 1}); err != nil {
+	if err := in.Arm(netfault.OpConnReset, iofault.ArmConfig{Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	gw, err := New(Config{
@@ -115,7 +115,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 	tn := fastTuning()
-	tn.MaxRetries = -1 // isolate the breaker from retry amplification
+	tn.Backoff.Attempts = 1 // isolate the breaker from retry amplification
 	gw, err := New(Config{Map: m, Backends: []string{dead.URL}, Tuning: tn})
 	if err != nil {
 		t.Fatal(err)

@@ -171,13 +171,6 @@ func verify(spec AppSpec, tr *trace.Trace, adv *advice.Advice, mode advice.Mode)
 	return VerifyWith(spec, tr, adv, VerifyOptions{Mode: mode})
 }
 
-// VerifyKarousosLimits audits under explicit resource bounds: the wire size
-// is checked before decode-side allocation, and the audit runs under lim's
-// deadline and graph budgets.
-func VerifyKarousosLimits(spec AppSpec, tr *trace.Trace, adv *advice.Advice, lim verifier.Limits) *VerifyResult {
-	return VerifyWith(spec, tr, adv, VerifyOptions{Mode: advice.ModeKarousos, Limits: lim, Workers: 1})
-}
-
 // VerifyOptions selects the audit configuration beyond the app spec.
 type VerifyOptions struct {
 	// Mode selects the advice dialect; the zero value is ModeKarousos.

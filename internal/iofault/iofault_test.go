@@ -201,17 +201,17 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 
 // TestParseSpec covers the accepted spec grammar and its failure modes.
 func TestParseSpec(t *testing.T) {
-	name, cfg, err := ParseSpec("enospc:9:-1")
+	name, cfg, err := ParseSpec(catalogue, "enospc:9:-1")
 	if err != nil || name != OpENOSPC || cfg.Seed != 9 || cfg.Times != -1 {
 		t.Fatalf("ParseSpec(enospc:9:-1) = %s %+v %v", name, cfg, err)
 	}
-	if _, _, err := ParseSpec("no-such-op:1"); err == nil {
+	if _, _, err := ParseSpec(catalogue, "no-such-op:1"); err == nil {
 		t.Fatal("unknown operator accepted")
 	}
-	if _, _, err := ParseSpec("enospc:x"); err == nil {
+	if _, _, err := ParseSpec(catalogue, "enospc:x"); err == nil {
 		t.Fatal("bad seed accepted")
 	}
-	if _, _, err := ParseSpec("enospc:1:2:3"); err == nil {
+	if _, _, err := ParseSpec(catalogue, "enospc:1:2:3"); err == nil {
 		t.Fatal("over-long spec accepted")
 	}
 }
@@ -232,5 +232,31 @@ func TestFsyncFailNotTransient(t *testing.T) {
 	serr := f.Sync()
 	if serr == nil || Classify(serr) != ClassPermanent {
 		t.Fatalf("injected fsync failure %v classifies %v, want permanent", serr, Classify(serr))
+	}
+}
+
+// TestBackoffBounds: every delay lies in [Base/2, Max], doubling until the
+// cap — including attempt indices deep enough that an uncapped shift would
+// sleep for hours (20) or overflow (37 and up).
+func TestBackoffBounds(t *testing.T) {
+	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Attempts: 6}
+	for _, i := range []int{0, 1, 2, 3, 4, 5, 6, 7, 20, 37, 40, 64, 1000} {
+		d := b.Delay(i)
+		if d < 5*time.Millisecond || d > 80*time.Millisecond {
+			t.Fatalf("Delay(%d) = %v out of [base/2, max]", i, d)
+		}
+	}
+}
+
+// TestBackoffWaitHonoursContext: a cancelled context cuts the pause short.
+func TestBackoffWaitHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if err := (Backoff{Base: time.Hour, Max: time.Hour}).Wait(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait on a cancelled context = %v", err)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("Wait ignored the cancelled context")
 	}
 }

@@ -68,10 +68,12 @@ func Classify(err error) Class {
 	return ClassPermanent
 }
 
-// Backoff bounds a retry loop: exponential delay from Base doubling up to
-// Max, at most Attempts tries, with jitter in [delay/2, delay] so retriers
-// that share a fault do not stampede in phase. Sleeping never affects
-// verdicts, so the jitter needs no seed.
+// Backoff paces every retry and restart loop in the pipeline: disk
+// retries (Retry), auditor rebuilds (auditd.Supervisor), the gateway's
+// re-sends of provably-unsent requests, and fleet member restarts. The
+// delay doubles from Base up to Max, each drawn with jitter from
+// [delay/2, delay] so retriers that share a fault do not stampede in
+// phase. Sleeping never affects verdicts, so the jitter needs no seed.
 type Backoff struct {
 	// Base is the first delay (default 2ms).
 	Base time.Duration
@@ -100,6 +102,40 @@ func (b Backoff) WithDefaults() Backoff {
 	return b
 }
 
+// Delay returns the jittered pause after failed attempt (0-based): Base
+// doubled attempt times, capped at Max, drawn from [d/2, d]. Any attempt
+// index is safe — the doubling stops at the cap instead of overflowing.
+func (b Backoff) Delay(attempt int) time.Duration {
+	b = b.WithDefaults()
+	d := b.Base
+	for i := 0; i < attempt && d < b.Max; i++ {
+		d *= 2
+	}
+	if d > b.Max {
+		d = b.Max
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+}
+
+// Wait pauses Delay(attempt), returning early with the context's error if
+// it is cancelled first. A Sleep override sleeps unconditionally and then
+// reports the context.
+func (b Backoff) Wait(ctx context.Context, attempt int) error {
+	d := b.Delay(attempt)
+	if b.Sleep != nil {
+		b.Sleep(d)
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
 // Retry runs op, re-issuing it with backoff while the error classifies
 // transient. It returns nil on success, the first non-transient error
 // immediately, or the last transient error once attempts are exhausted.
@@ -120,12 +156,7 @@ func Retry(ctx context.Context, b Backoff, op func() error) error {
 				return errors.Join(cerr, err)
 			}
 		}
-		delay := b.Base << attempt
-		if delay > b.Max {
-			delay = b.Max
-		}
-		delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		b.Sleep(delay)
+		b.Sleep(b.Delay(attempt))
 	}
 	return err
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"net/url"
 	"syscall"
-	"time"
 )
 
 // Class buckets a network error by what the caller may soundly do next —
@@ -76,58 +74,4 @@ func Classify(err error) Class {
 		return ClassAmbiguous
 	}
 	return ClassAmbiguous
-}
-
-// Backoff is a bounded exponential backoff with full jitter, mirroring
-// iofault.Backoff for the wire: Base doubles per attempt up to Max, and
-// each delay is drawn uniformly from [delay/2, delay] so synchronized
-// retries de-correlate.
-type Backoff struct {
-	Base     time.Duration
-	Max      time.Duration
-	Attempts int
-	// Sleep stubs time.Sleep in tests; nil means real sleep.
-	Sleep func(time.Duration)
-	// Rand supplies jitter; nil means a shared unseeded source. Scenarios
-	// inject a seeded source for reproducible schedules.
-	Rand *rand.Rand
-}
-
-// Delay returns the jittered delay for attempt i (0-based).
-func (b Backoff) Delay(i int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = time.Second
-	}
-	delay := base << uint(i)
-	if delay > max || delay <= 0 {
-		delay = max
-	}
-	half := int64(delay / 2)
-	var j int64
-	if b.Rand != nil {
-		j = b.Rand.Int63n(half + 1)
-	} else {
-		j = rand.Int63n(half + 1)
-	}
-	return time.Duration(half + j)
-}
-
-func (b Backoff) sleep(ctx context.Context, d time.Duration) error {
-	if b.Sleep != nil {
-		b.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

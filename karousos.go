@@ -47,7 +47,6 @@ package karousos
 
 import (
 	"context"
-	"io"
 
 	"karousos.dev/karousos/internal/advice"
 	"karousos.dev/karousos/internal/adya"
@@ -281,20 +280,6 @@ func With(v V, k string, val V) map[string]V { return appkit.With(v, k, val) }
 // semantics: advice is untrusted and the audit judges it.
 func UnmarshalAdvice(data []byte) (*Advice, error) { return advice.UnmarshalBinary(data) }
 
-// VerifyKarousosUnbatched audits with batching disabled (every request in a
-// singleton group) — the ablation that isolates what grouped re-execution
-// buys; see harness.VerifyKarousosUnbatched.
-func VerifyKarousosUnbatched(spec AppSpec, tr *Trace, adv *Advice) *VerifyResult {
-	return harness.VerifyKarousosUnbatched(spec, tr, adv)
-}
-
-// VerifyKarousosWithGraph audits like VerifyKarousos and additionally writes
-// the execution graph G in Graphviz DOT format to w — with the offending
-// cycle highlighted when the audit rejects on acyclicity.
-func VerifyKarousosWithGraph(spec AppSpec, tr *Trace, adv *Advice, w io.Writer) *VerifyResult {
-	return harness.VerifyWith(spec, tr, adv, VerifyOptions{DumpGraph: w})
-}
-
 // Rejection taxonomy: every audit rejection carries a machine-readable
 // reason code; see core.RejectCode for the classification rules.
 type RejectCode = core.RejectCode
@@ -320,14 +305,6 @@ type Limits = verifier.Limits
 
 // DefaultLimits returns the production-shaped resource bounds.
 func DefaultLimits() Limits { return verifier.DefaultLimits() }
-
-// VerifyKarousosLimits audits like VerifyKarousos under explicit resource
-// bounds: the serialized advice size is checked before decoding, and the
-// audit itself runs under lim's deadline and graph budgets, rejecting with
-// RejectResourceLimit when exceeded.
-func VerifyKarousosLimits(spec AppSpec, tr *Trace, adv *Advice, lim Limits) *VerifyResult {
-	return harness.VerifyKarousosLimits(spec, tr, adv, lim)
-}
 
 // FaultOp is one operator of the fault-injection catalogue; see
 // internal/faultinject.
