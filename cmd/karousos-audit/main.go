@@ -32,9 +32,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/workload"
 )
 
 func main() {
@@ -70,7 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: karousos-audit serve|verify|tamper|faultinject [flags]
+	codes := make([]string, 0, len(core.AllRejectCodes()))
+	for _, c := range core.AllRejectCodes() {
+		codes = append(codes, string(c))
+	}
+	fmt.Fprintf(w, `usage: karousos-audit serve|verify|tamper|faultinject [flags]
 
   serve       run a workload, write trace.json + advice.bin to -out
   verify      audit a run directory — or, with -epochs, a karousos-auditd
@@ -80,37 +88,14 @@ func usage(w io.Writer) {
   faultinject corrupt the stored advice with a catalogue operator (-op)
 
 reason codes:
-  MalformedAdvice LogMismatch GraphCycle IsolationViolation
-  OutputMismatch ResourceLimit InternalFault`)
-}
-
-func appSpec(name string) (karousos.AppSpec, error) {
-	switch name {
-	case "motd":
-		return karousos.MOTDApp(), nil
-	case "stacks":
-		return karousos.StacksApp(), nil
-	case "wiki":
-		return karousos.WikiApp(), nil
-	}
-	return karousos.AppSpec{}, fmt.Errorf("unknown app %q (motd, stacks, wiki)", name)
-}
-
-func workloadFor(name string, n int, seed int64) []karousos.Request {
-	switch name {
-	case "motd":
-		return karousos.MOTDWorkload(n, karousos.Mixed, seed)
-	case "stacks":
-		return karousos.StacksWorkload(n, karousos.Mixed, seed)
-	default:
-		return karousos.WikiWorkload(n, seed)
-	}
+  %s
+`, strings.Join(codes, " "))
 }
 
 func serveCmd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "wiki", "application: motd, stacks, wiki")
+	app := fs.String("app", "wiki", "application: motd, stacks, wiki, feeds")
 	n := fs.Int("n", 600, "number of requests")
 	conc := fs.Int("conc", 30, "concurrent requests")
 	seed := fs.Int64("seed", 42, "workload and scheduler seed")
@@ -119,11 +104,15 @@ func serveCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	spec, err := appSpec(*app)
+	spec, err := harness.SpecByName(*app)
 	if err != nil {
 		return err
 	}
-	run, err := karousos.Serve(spec, workloadFor(*app, *n, *seed), *conc, *seed, karousos.CollectKarousos)
+	reqs, err := workload.For(*app, workload.Mixed, *n, *seed)
+	if err != nil {
+		return err
+	}
+	run, err := karousos.Serve(spec, reqs, *conc, *seed, karousos.CollectKarousos)
 	if err != nil {
 		return err
 	}
@@ -165,7 +154,7 @@ func loadRun(dir string) (karousos.AppSpec, *karousos.Trace, []byte, error) {
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return karousos.AppSpec{}, nil, nil, err
 	}
-	spec, err := appSpec(meta.App)
+	spec, err := harness.SpecByName(meta.App)
 	if err != nil {
 		return karousos.AppSpec{}, nil, nil, err
 	}

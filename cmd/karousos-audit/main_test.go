@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"karousos.dev/karousos"
+	"karousos.dev/karousos/internal/core"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -89,6 +90,29 @@ func TestTamperedTraceRejectsWithOutputMismatch(t *testing.T) {
 	}
 	if got := strings.TrimSpace(stdout); got != "OutputMismatch" {
 		t.Errorf("reason code %q, want OutputMismatch", got)
+	}
+}
+
+// TestUsageNamesEveryRejectCode: the usage text's reason-code list is
+// what a monitoring wrapper scripts against, so it must name every code
+// an audit can return.
+func TestUsageNamesEveryRejectCode(t *testing.T) {
+	_, _, stderr := runCLI(t)
+	for _, c := range core.AllRejectCodes() {
+		if !strings.Contains(stderr, " "+string(c)) {
+			t.Errorf("usage omits reason code %s", c)
+		}
+	}
+}
+
+// TestServeFeeds: every bundled app serves and audits through the CLI.
+func TestServeFeeds(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "feeds")
+	if code, _, stderr := runCLI(t, "serve", "-app", "feeds", "-n", "15", "-conc", "4", "-out", dir); code != 0 {
+		t.Fatalf("serve -app feeds exited %d: %s", code, stderr)
+	}
+	if code, stdout, stderr := runCLI(t, "verify", "-dir", dir); code != 0 {
+		t.Fatalf("verify feeds run exited %d: %s / %s", code, stdout, stderr)
 	}
 }
 

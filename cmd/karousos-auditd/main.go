@@ -55,7 +55,6 @@ import (
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
@@ -104,19 +103,6 @@ func usage(w io.Writer) {
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "karousos-auditd:", err)
 	return 1
-}
-
-func workloadFor(name string, n int, seed int64) []server.Request {
-	switch name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	case "feeds":
-		return workload.Feeds(n, workload.Mixed, seed)
-	default:
-		return workload.Wiki(n, seed)
-	}
 }
 
 func serveCmd(args []string, stdout, stderr io.Writer) int {
@@ -396,6 +382,10 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
+	reqs, err := workload.For(*app, workload.Mixed, *n, *seed)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	if *dir == "" {
 		tmp, err := os.MkdirTemp("", "karousos-epochs-")
 		if err != nil {
@@ -406,7 +396,7 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	res, err := auditd.RunPipeline(ctx, spec, workloadFor(*app, *n, *seed), auditd.PipelineOptions{
+	res, err := auditd.RunPipeline(ctx, spec, reqs, auditd.PipelineOptions{
 		Dir:           *dir,
 		EpochRequests: *epochReqs,
 		Seed:          *seed,

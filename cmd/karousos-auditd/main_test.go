@@ -138,7 +138,7 @@ func TestShardedAuditCmd(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "shards")
 	top, err := gateway.NewLocal(gateway.LocalConfig{
 		Spec: harness.WikiApp(), Root: root,
-		Map:           shard.Map{Shards: 2, KeyFields: []string{"id", "page"}},
+		Map:           shard.Map{Shards: 2, KeyFields: harness.WikiApp().KeyFields},
 		EpochRequests: 5, Seed: 3,
 	})
 	if err != nil {

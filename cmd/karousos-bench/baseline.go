@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,13 +18,7 @@ import (
 	"sort"
 	"testing"
 
-	"karousos.dev/karousos/internal/advice"
-	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/experiments"
-	"karousos.dev/karousos/internal/harness"
-	"karousos.dev/karousos/internal/server"
-	"karousos.dev/karousos/internal/verifier"
-	"karousos.dev/karousos/internal/workload"
 )
 
 // baselineRequests is smaller than the figure sweeps' default so the CI
@@ -46,197 +39,21 @@ type baselineFile struct {
 	Results map[string]baselineResult `json:"results"`
 }
 
-type baselineBench struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-func baselineWorkload(app string, mix workload.Mix) (harness.AppSpec, []server.Request) {
-	switch app {
-	case "motd":
-		return harness.MOTDApp(), workload.MOTD(baselineRequests, mix, 1)
-	case "stacks":
-		return harness.StacksApp(), workload.Stacks(baselineRequests, mix, 1, workload.DefaultStacksOptions())
-	case "wiki":
-		return harness.WikiApp(), workload.Wiki(baselineRequests, 1)
-	}
-	panic("unknown app " + app)
-}
-
-// baselineServe mirrors the Figure-6 panels: serving cost with Karousos
-// advice collection on.
-func baselineServe(app string, mix workload.Mix) func(*testing.B) {
-	return func(b *testing.B) {
-		warmup := baselineRequests / 5
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			spec, reqs := baselineWorkload(app, mix)
-			if _, err := harness.ServeWarm(spec, reqs, warmup, 30, int64(i), harness.CollectKarousos); err != nil {
-				b.Fatal(err)
-			}
+// baselineBenches are the registry entries the baseline gates.
+func baselineBenches() []experiments.Benchmark {
+	var out []experiments.Benchmark
+	for _, bm := range experiments.Benchmarks(baselineRequests) {
+		if bm.Baseline {
+			out = append(out, bm)
 		}
 	}
+	return out
 }
 
-// baselineVerify mirrors the Figure-7 panels: audit turnaround at the given
-// worker count (0 = GOMAXPROCS, the production default; 1 = the sequential
-// reference the parallel engine must not regress).
-func baselineVerify(app string, mix workload.Mix, auditWorkers int) func(*testing.B) {
-	return func(b *testing.B) {
-		spec, reqs := baselineWorkload(app, mix)
-		run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v := harness.VerifyWith(spec, run.Trace, run.Karousos, harness.VerifyOptions{Workers: auditWorkers})
-			if v.Err != nil {
-				b.Fatal(v.Err)
-			}
-		}
-	}
-}
-
-func baselineBenches() []baselineBench {
-	return []baselineBench{
-		{"fig6a-motd-write-heavy-server-karousos", baselineServe("motd", workload.WriteHeavy)},
-		{"fig6b-stacks-read-heavy-server-karousos", baselineServe("stacks", workload.ReadHeavy)},
-		{"fig6c-wiki-server-karousos", baselineServe("wiki", workload.Mixed)},
-		{"fig7a-motd-write-heavy-verify-karousos", baselineVerify("motd", workload.WriteHeavy, 0)},
-		{"fig7b-stacks-read-heavy-verify-karousos", baselineVerify("stacks", workload.ReadHeavy, 0)},
-		{"fig7c-wiki-verify-karousos", baselineVerify("wiki", workload.Mixed, 0)},
-		{"fig7c-wiki-verify-karousos-workers-1", baselineVerify("wiki", workload.Mixed, 1)},
-		{"audit-components/advice-decode", func(b *testing.B) {
-			spec, reqs := baselineWorkload("wiki", workload.Mixed)
-			run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wire := run.Karousos.MarshalBinary()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := advice.UnmarshalBinary(wire); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"audit-components/advice-encode", func(b *testing.B) {
-			spec, reqs := baselineWorkload("wiki", workload.Mixed)
-			run, err := harness.Serve(spec, reqs, 30, 42, harness.CollectKarousos)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = run.Karousos.MarshalBinary()
-			}
-		}},
-		{"audit-components/full-audit", baselineVerify("wiki", workload.Mixed, 0)},
-		{"record/per-request-fsync-c32", baselineRecord(false, 32)},
-		{"record/group-commit-c32", baselineRecord(true, 32)},
-		{"shard-audit/shards-1", baselineShardAudit(1)},
-		{"shard-audit/shards-4", baselineShardAudit(4)},
-		{"shard-audit/shards-8", baselineShardAudit(8)},
-		{"memo-audit/cold", baselineMemoAudit(0)},
-		{"memo-audit/warm", baselineMemoAudit(256 << 20)},
-	}
-}
-
-// baselineMemoAudit mirrors the Figure-15 panel: full audit turnaround over
-// a pure-recurring feeds steady-state log, cold (memoBytes 0, the cache
-// disabled) or warm (the cache carried across epochs within each op's
-// single auditor pass). The log is built once outside the timer; every op
-// grades it from scratch with a fresh auditor, so cold vs warm isolates
-// exactly what cross-epoch deduplicated re-execution saves.
-func baselineMemoAudit(memoBytes int) func(*testing.B) {
-	return func(b *testing.B) {
-		const epochs = 8
-		dir, err := os.MkdirTemp("", "karousos-memo-bench-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		if err := experiments.BuildMemoLog(dir, epochs, baselineRequests/epochs, 1.0, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a, err := auditd.New(auditd.Config{Dir: dir, AuditWorkers: 1, MemoMaxBytes: memoBytes})
-			if err != nil {
-				b.Fatal(err)
-			}
-			n, err := a.RunOnce(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st := a.Status(); n != epochs || st.Accepted != epochs {
-				b.Fatalf("graded %d/%d epochs, accepted %d", n, epochs, st.Accepted)
-			}
-		}
-	}
-}
-
-// baselineShardAudit mirrors the Figure-14 panel: full shard-parallel
-// audit turnaround (one lane per shard, per-epoch workers pinned to 1)
-// over a sealed wiki topology built once outside the timer. No
-// checkpoints, so every op grades the whole topology from scratch.
-func baselineShardAudit(shards int) func(*testing.B) {
-	return func(b *testing.B) {
-		root, err := os.MkdirTemp("", "karousos-shard-bench-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(root)
-		if err := experiments.BuildShardTopology(root, shards, baselineRequests, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sh, err := auditd.NewSharded(auditd.ShardedConfig{
-				Root:         root,
-				Limits:       verifier.DefaultLimits(),
-				AuditWorkers: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := sh.Audit(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Accepted() {
-				b.Fatalf("honest topology rejected: [%s] %s", res.Merge.Code, res.Merge.Reason)
-			}
-		}
-	}
-}
-
-// baselineRecord mirrors the Figure-13 panel: durable-append throughput of
-// the epoch log at one commit discipline and concurrency level. One op is
-// a fixed batch of events, so ns/op regressions gate the record path the
-// same way the serve/verify entries gate theirs.
-func baselineRecord(group bool, conc int) func(*testing.B) {
-	return func(b *testing.B) {
-		const events = 2048
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RecordThroughput(group, conc, events); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func measureBaseline(bb baselineBench) (baselineResult, error) {
-	r := testing.Benchmark(bb.fn)
+func measureBaseline(bb experiments.Benchmark) (baselineResult, error) {
+	r := testing.Benchmark(bb.Fn)
 	if r.N == 0 {
-		return baselineResult{}, fmt.Errorf("benchmark %s failed", bb.name)
+		return baselineResult{}, fmt.Errorf("benchmark %s failed", bb.Name)
 	}
 	return baselineResult{
 		NsPerOp:     float64(r.NsPerOp()),
@@ -244,64 +61,57 @@ func measureBaseline(bb baselineBench) (baselineResult, error) {
 	}, nil
 }
 
-func writeBaseline(path string) error {
+func readBaseline(path string) (baselineFile, error) {
+	var f baselineFile
+	data, err := os.ReadFile(path)
+	if err == nil {
+		if err = json.Unmarshal(data, &f); err != nil {
+			err = fmt.Errorf("parse %s: %w", path, err)
+		}
+	}
+	return f, err
+}
+
+// writeBaseline measures every gated benchmark into a fresh baseline at
+// path. With merge it measures only those the existing file is missing,
+// leaving every other entry byte-identical: how a change that adds
+// benchmarks lands their numbers without re-measuring (and so silently
+// re-centering) everyone else's.
+func writeBaseline(path string, merge bool) error {
 	var f baselineFile
 	f.Config.Requests = baselineRequests
 	f.Config.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	f.Results = make(map[string]baselineResult)
-	for _, bb := range baselineBenches() {
-		res, err := measureBaseline(bb)
-		if err != nil {
+	if merge {
+		var err error
+		if f, err = readBaseline(path); err != nil {
 			return err
 		}
-		f.Results[bb.name] = res
-		fmt.Printf("%-45s %14.0f ns/op %10d allocs/op\n", bb.name, res.NsPerOp, res.AllocsPerOp)
-	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// updateBaseline measures only the benchmarks a committed baseline is
-// missing and merges them in, leaving every existing entry byte-identical.
-// This is how a PR that adds benchmarks lands their baseline numbers
-// without re-measuring (and so silently re-centering) everyone else's.
-func updateBaseline(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var f baselineFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
 	}
 	if f.Results == nil {
 		f.Results = make(map[string]baselineResult)
 	}
 	added := 0
 	for _, bb := range baselineBenches() {
-		if _, ok := f.Results[bb.name]; ok {
+		if _, ok := f.Results[bb.Name]; ok {
 			continue
 		}
 		res, err := measureBaseline(bb)
 		if err != nil {
 			return err
 		}
-		f.Results[bb.name] = res
+		f.Results[bb.Name] = res
 		added++
-		fmt.Printf("%-45s %14.0f ns/op %10d allocs/op (new)\n", bb.name, res.NsPerOp, res.AllocsPerOp)
+		fmt.Printf("%-45s %14.0f ns/op %10d allocs/op\n", bb.Name, res.NsPerOp, res.AllocsPerOp)
 	}
 	if added == 0 {
 		fmt.Println("baseline already covers every benchmark; nothing to do")
 		return nil
 	}
-	out, err := json.MarshalIndent(&f, "", "  ")
+	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // checkBaseline compares the working tree against a committed baseline and
@@ -311,13 +121,9 @@ func updateBaseline(path string) error {
 // run; allocs/op drift is reported but does not fail the gate — the
 // Workers=1 parity tests own the hard allocation bound.
 func checkBaseline(path string, tolerance float64) error {
-	data, err := os.ReadFile(path)
+	base, err := readBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base baselineFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
 	}
 	if base.Config.Requests != baselineRequests {
 		return fmt.Errorf("baseline was recorded at %d requests; this binary measures %d — regenerate with -baseline-out",
@@ -334,9 +140,9 @@ func checkBaseline(path string, tolerance float64) error {
 	}
 	sort.Strings(names)
 
-	benches := make(map[string]baselineBench)
+	benches := make(map[string]experiments.Benchmark)
 	for _, bb := range baselineBenches() {
-		benches[bb.name] = bb
+		benches[bb.Name] = bb
 	}
 
 	var failures []string

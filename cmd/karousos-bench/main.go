@@ -1,9 +1,10 @@
 // karousos-bench regenerates the tables behind every figure of the paper's
-// evaluation (Figures 6–12), plus Figure 13 — this module's own sustained
-// record-throughput panel (group commit vs per-request fsync, DESIGN.md
-// §14). Without flags it reproduces the paper's setup: 600-request
-// workloads (server-overhead panels warm up on the first 120), concurrency
-// swept over 1–60, medians of 3 trials.
+// evaluation (Figures 6–12), plus this module's own Figures 13–15: record
+// throughput (group commit vs per-request fsync, DESIGN.md §14), shard
+// scaling (§15) and memo cold vs warm (§18). Without flags it reproduces
+// the paper's setup (experiments.DefaultConfig): 600-request workloads
+// (server-overhead panels warm up on the first 120), concurrency swept over
+// 1–60, medians of 3 trials.
 //
 // Usage:
 //
@@ -24,13 +25,18 @@ import (
 )
 
 func main() {
+	def := experiments.DefaultConfig()
+	defConc := make([]string, len(def.Conc))
+	for i, c := range def.Conc {
+		defConc[i] = strconv.Itoa(c)
+	}
 	var (
 		fig      = flag.String("fig", "all", "figure to regenerate: 6..15 or all")
-		requests = flag.Int("requests", 600, "requests per workload")
-		warmup   = flag.Int("warmup", 120, "warm-up requests for server-overhead panels")
-		trials   = flag.Int("trials", 3, "trials per data point (median reported)")
-		conc     = flag.String("conc", "1,15,30,45,60", "comma-separated concurrency levels")
-		seed     = flag.Int64("seed", 42, "base seed for workloads and schedulers")
+		requests = flag.Int("requests", def.Requests, "requests per workload")
+		warmup   = flag.Int("warmup", def.Warmup, "warm-up requests for server-overhead panels")
+		trials   = flag.Int("trials", def.Trials, "trials per data point (median reported)")
+		conc     = flag.String("conc", strings.Join(defConc, ","), "comma-separated concurrency levels")
+		seed     = flag.Int64("seed", def.Seed, "base seed for workloads and schedulers")
 		workers  = flag.String("workers", "", "comma-separated audit worker levels for the Figure-7 worker sweep (default: 1,2,4,GOMAXPROCS)")
 
 		baselineOut    = flag.String("baseline-out", "", "write a performance baseline (ns/op, allocs/op) to this JSON file and exit")
@@ -42,13 +48,13 @@ func main() {
 
 	if *baselineOut != "" || *baselineUpdate != "" || *baselineCheck != "" {
 		if *baselineOut != "" {
-			if err := writeBaseline(*baselineOut); err != nil {
+			if err := writeBaseline(*baselineOut, false); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 		}
 		if *baselineUpdate != "" {
-			if err := updateBaseline(*baselineUpdate); err != nil {
+			if err := writeBaseline(*baselineUpdate, true); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,10 +38,8 @@ import (
 	"syscall"
 	"time"
 
-	"karousos.dev/karousos/internal/auditd"
+	"karousos.dev/karousos/internal/chaos"
 	"karousos.dev/karousos/internal/collectorhttp"
-	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/fleet"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
@@ -256,7 +253,11 @@ func buildMembers(spec fleetSpec) ([]fleet.MemberSpec, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	m := shard.Map{Shards: spec.shards, KeyFields: []string{"id", "page"}}
+	app, err := harness.SpecByName(spec.app)
+	if err != nil {
+		return nil, "", err
+	}
+	m := shard.Map{Shards: spec.shards, KeyFields: app.KeyFields}
 	if err := shard.WriteMap(nil, spec.root, m); err != nil {
 		return nil, "", err
 	}
@@ -466,11 +467,7 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 			}
 			killed = true
 		}
-		body, err := json.Marshal(map[string]any{"input": req.Input})
-		if err != nil {
-			return res, err
-		}
-		resp, err := client.Post(gwURL+"/invoke", "application/json", bytes.NewReader(body))
+		resp, err := collectorhttp.Invoke(client, gwURL, req.Input)
 		if err != nil {
 			violate("request %d: gateway unreachable: %v", i, err)
 			continue
@@ -541,82 +538,26 @@ func runAccept(root string, shards, n, epochReqs int, seed int64, killAt int, dr
 
 	// Invariant: acked⊆sealed per shard — SIGKILL included, every RID a
 	// client saw 200 for is in a sealed epoch of the shard that served it.
-	for s := 0; s < shards; s++ {
-		if len(ackedByShard[s]) == 0 {
-			continue
-		}
-		sealed := map[string]bool{}
-		dirS := shard.Dir(root, s)
-		manifests, err := epochlog.ListSealed(dirS)
-		if err != nil {
-			return res, err
-		}
-		for _, man := range manifests {
-			tr, _, _, err := epochlog.ReadSealed(dirS, man.Seq, epochlog.Options{})
-			if err != nil {
-				return res, err
-			}
-			for _, rid := range tr.RIDs() {
-				sealed[rid] = true
-			}
-		}
-		for rid := range ackedByShard[s] {
-			if !sealed[rid] {
-				violate("shard %d: acked rid %s missing from the sealed log", s, rid)
-			}
-		}
+	missing, err := chaos.AckedUnsealed(root, shards, ackedByShard)
+	if err != nil {
+		return res, err
 	}
+	res.Violations = append(res.Violations, missing...)
 
 	// The post-mortem audit: verdicts must be lane-count-invariant, the
 	// victim's SIGKILL grades Unauditable at worst, and nothing is accused.
-	var keys []string
-	for _, lanes := range []int{shards, 1} {
-		sh, err := auditd.NewSharded(auditd.ShardedConfig{
-			Root: root, Lanes: lanes, Limits: verifier.DefaultLimits(),
-		})
-		if err != nil {
-			return res, err
-		}
-		out, err := sh.Audit(context.Background())
-		if err != nil {
-			return res, err
-		}
-		keys = append(keys, verdictKey(out))
-		if lanes != shards {
-			continue
-		}
-		res.Merge = string(out.Merge.Code)
-		victimUnauditable := false
-		for _, rep := range out.Shards {
-			for _, v := range rep.Verdicts {
-				switch v.Code {
-				case "":
-					res.Accepted++
-				case core.RejectUnauditable:
-					res.Unauditable++
-					if rep.Shard == victim {
-						victimUnauditable = true
-					} else {
-						violate("surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason)
-					}
-				default:
-					res.Rejected++
-					violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
-				}
-			}
-		}
-		if killed && !victimUnauditable {
-			violate("victim shard %d has no unauditable epoch: the SIGKILL left no stranded evidence to grade", victim)
-		}
-		switch out.Merge.Code {
-		case "", core.RejectUnauditable:
-		default:
-			violate("combined verdict accuses after a process death: [%s] %s", out.Merge.Code, out.Merge.Reason)
-		}
+	out, violations, err := chaos.AuditLanes(root, shards)
+	if err != nil {
+		return res, err
 	}
-	if keys[0] != keys[1] {
-		violate("lane-count divergence:\n%d lanes: %s\n1 lane:  %s", shards, keys[0], keys[1])
+	res.Merge = string(out.Merge.Code)
+	g := chaos.Grade(out, victim, true, "a process death")
+	res.Accepted, res.Unauditable, res.Rejected = g.Accepted, g.Unauditable, g.Rejected
+	res.Violations = append(res.Violations, g.Violations...)
+	if killed && !g.VictimUnauditable {
+		violate("victim shard %d has no unauditable epoch: the SIGKILL left no stranded evidence to grade", victim)
 	}
+	res.Violations = append(res.Violations, violations...)
 	return res, nil
 }
 
@@ -639,20 +580,4 @@ func getStatus(client *http.Client, url string) int {
 	io.Copy(io.Discard, resp.Body) //karousos:errladder-ok health probe; the status code is the answer
 	resp.Body.Close()
 	return resp.StatusCode
-}
-
-// verdictKey reduces a sharded audit to a comparable string: per-shard
-// lane codes, every per-epoch verdict, the merge and the work stats —
-// exactly what must be bit-identical across lane counts.
-func verdictKey(res auditd.ShardedResult) string {
-	var b strings.Builder
-	for _, rep := range res.Shards {
-		fmt.Fprintf(&b, "shard%d[%s]:", rep.Shard, rep.Code)
-		for _, v := range rep.Verdicts {
-			fmt.Fprintf(&b, "%d=%s;", v.Epoch, v.Code)
-		}
-		b.WriteString(" ")
-	}
-	fmt.Fprintf(&b, "merge=%s conflicts=%d stats=%+v", res.Merge.Code, len(res.Merge.Conflicts), res.Stats)
-	return b.String()
 }

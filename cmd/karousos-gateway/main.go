@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,7 +43,6 @@ import (
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/netfault"
-	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
@@ -91,15 +89,16 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// mapFor builds the topology for -local mode. The default key fields are
-// the wiki application's ("id" on create/render, "page" on comment) —
-// the one bundled app whose store keys are page-local and therefore
-// shardable.
-func mapFor(shards int, keyFields string) shard.Map {
-	m := shard.Map{Shards: shards}
-	for _, f := range strings.Split(keyFields, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			m.KeyFields = append(m.KeyFields, f)
+// mapFor builds the topology for -local mode. An empty keyFields routes by
+// the app's own locality fields (AppSpec.KeyFields).
+func mapFor(shards int, keyFields string, spec harness.AppSpec) shard.Map {
+	m := shard.Map{Shards: shards, KeyFields: spec.KeyFields}
+	if keyFields != "" {
+		m.KeyFields = nil
+		for _, f := range strings.Split(keyFields, ",") {
+			if f = strings.TrimSpace(f); f != "" {
+				m.KeyFields = append(m.KeyFields, f)
+			}
 		}
 	}
 	return m
@@ -114,7 +113,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	local := fs.Bool("local", false, "boot one collector per shard in-process instead of fronting external backends")
 	app := fs.String("app", "wiki", "application served by every shard (-local mode)")
 	shards := fs.Int("shards", 4, "shard count (-local mode)")
-	keyFields := fs.String("key-fields", "id,page", "input fields tried in order for the locality key (-local mode)")
+	keyFields := fs.String("key-fields", "", "input fields tried in order for the locality key (default: the app's own, -local mode)")
 	epochReqs := fs.Int("epoch-requests", 50, "per-shard seal threshold (-local mode)")
 	maxAge := fs.Duration("epoch-max-age", 0, "seal non-empty epochs older than this (0 = disabled, -local mode)")
 	seed := fs.Int64("seed", 42, "scheduler seed; shard s serves with seed+s (-local mode)")
@@ -163,7 +162,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		top, err := gateway.NewLocal(gateway.LocalConfig{
 			Spec:          spec,
 			Root:          *root,
-			Map:           mapFor(*shards, *keyFields),
+			Map:           mapFor(*shards, *keyFields, spec),
 			EpochRequests: *epochReqs,
 			EpochMaxAge:   *maxAge,
 			Seed:          *seed,
@@ -236,7 +235,7 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	app := fs.String("app", "wiki", "application served by every shard")
 	shards := fs.Int("shards", 4, "shard count")
-	keyFields := fs.String("key-fields", "id,page", "input fields tried in order for the locality key")
+	keyFields := fs.String("key-fields", "", "input fields tried in order for the locality key (default: the app's own)")
 	n := fs.Int("n", 200, "number of requests to drive through the gateway")
 	epochReqs := fs.Int("epoch-requests", 25, "per-shard seal threshold")
 	root := fs.String("root", "", "topology root (default: a fresh temp dir)")
@@ -247,6 +246,10 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	spec, err := harness.SpecByName(*app)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	reqs, err := workload.For(*app, workload.Mixed, *n, *seed)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -264,7 +267,7 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 	top, err := gateway.NewLocal(gateway.LocalConfig{
 		Spec:          spec,
 		Root:          *root,
-		Map:           mapFor(*shards, *keyFields),
+		Map:           mapFor(*shards, *keyFields, spec),
 		EpochRequests: *epochReqs,
 		Seed:          *seed,
 		Limits:        verifier.DefaultLimits(),
@@ -282,14 +285,8 @@ func pipelineCmd(args []string, stdout, stderr io.Writer) int {
 
 	served, refused := 0, 0
 	base := "http://" + ln.Addr().String()
-	for _, r := range workloadFor(*app, *n, *seed) {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			hs.Close()
-			top.Close() //karousos:errladder-ok the marshal failure is the error that surfaces
-			return fail(stderr, err)
-		}
-		resp, err := http.Post(base+"/invoke", "application/json", bytes.NewReader(body))
+	for _, r := range reqs {
+		resp, err := collectorhttp.Invoke(http.DefaultClient, base, r.Input)
 		if err != nil {
 			refused++
 			continue
@@ -412,15 +409,4 @@ func chaosCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "PARTITION CHAOS OK: all invariants held")
 	return 0
-}
-
-func workloadFor(name string, n int, seed int64) []server.Request {
-	switch name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	default:
-		return workload.Wiki(n, seed)
-	}
 }

@@ -53,6 +53,21 @@ func TestPipelineSingleShard(t *testing.T) {
 	}
 }
 
+// TestPipelineRoutesByAppKeyFields: without -key-fields every app routes
+// by its own locality fields. Stacks requests carry no wiki field, so
+// routing them by wiki's would hash whole inputs, split one dump's key
+// across shards and reject an honest run as ShardConflict.
+func TestPipelineRoutesByAppKeyFields(t *testing.T) {
+	for _, app := range []string{"stacks", "feeds", "motd"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"pipeline", "-app", app, "-shards", "2", "-n", "40",
+			"-epoch-requests", "10", "-root", filepath.Join(t.TempDir(), app)}, &out, &errb)
+		if code != 0 || !strings.Contains(out.String(), "PIPELINE ACCEPTED: served 40 requests") {
+			t.Fatalf("%s pipeline exit %d: %s / %s", app, code, out.String(), errb.String())
+		}
+	}
+}
+
 // TestChaosPartitionCLI: the built-in partition scenario exits 0 with the
 // invariants-held banner; an unknown scenario name is an infrastructure
 // error.

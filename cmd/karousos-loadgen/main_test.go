@@ -53,7 +53,7 @@ func TestTargetGatewayMode(t *testing.T) {
 	top, err := gateway.NewLocal(gateway.LocalConfig{
 		Spec:          harness.WikiApp(),
 		Root:          t.TempDir(),
-		Map:           shard.Map{Shards: 2, KeyFields: []string{"id", "page"}},
+		Map:           shard.Map{Shards: 2, KeyFields: harness.WikiApp().KeyFields},
 		EpochRequests: 10,
 		Seed:          7,
 		Limits:        verifier.DefaultLimits(),

@@ -1,9 +1,7 @@
 package auditd
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -128,11 +126,7 @@ func RunPipeline(ctx context.Context, spec harness.AppSpec, reqs []server.Reques
 	res := &PipelineResult{Addr: base}
 	client := &http.Client{Timeout: 30 * time.Second}
 	for _, r := range reqs {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
-		if err != nil {
-			return res, err
-		}
-		resp, err := client.Post(base+"/invoke", "application/json", bytes.NewReader(body))
+		resp, err := collectorhttp.Invoke(client, base, r.Input)
 		if err != nil {
 			return res, err
 		}

@@ -25,7 +25,7 @@ import (
 // id — create/render carry it as "id", comment as "page" — so every store
 // key (page:<id>, comment:<id>:<n>) is owned by exactly one shard.
 func wikiMap(shards int) shard.Map {
-	return shard.Map{Shards: shards, KeyFields: []string{"id", "page"}}
+	return shard.Map{Shards: shards, KeyFields: harness.WikiApp().KeyFields}
 }
 
 // newGatewayServer exposes a local topology's gateway on a loopback

@@ -23,7 +23,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -148,6 +147,10 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	if sc.Requests <= 0 || sc.EpochRequests <= 0 {
 		return nil, fmt.Errorf("chaos: scenario needs positive Requests and EpochRequests")
 	}
+	reqs, err := workload.For(sc.App, workload.Mixed, sc.Requests, sc.Seed)
+	if err != nil {
+		return nil, err
+	}
 	r := &runner{
 		sc:       sc,
 		spec:     spec,
@@ -187,7 +190,6 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	for _, ev := range sc.Events {
 		events[ev.AtRequest] = append(events[ev.AtRequest], ev)
 	}
-	reqs := requestsFor(spec, sc.Requests, sc.Seed)
 	ctx := context.Background()
 
 	for i, req := range reqs {
@@ -246,17 +248,6 @@ func Run(dir string, sc Scenario) (*Result, error) {
 	return r.res, nil
 }
 
-func requestsFor(spec harness.AppSpec, n int, seed int64) []server.Request {
-	switch spec.Name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	default:
-		return workload.Wiki(n, seed)
-	}
-}
-
 func (r *runner) openCollector() error {
 	col, err := collectorhttp.New(collectorhttp.Config{
 		Spec:          r.spec,
@@ -309,12 +300,7 @@ func (r *runner) apply(ev Event) error {
 }
 
 func (r *runner) invoke(req server.Request) {
-	body, err := json.Marshal(map[string]any{"input": req.Input})
-	if err != nil {
-		r.res.Violations = append(r.res.Violations, "request marshal: "+err.Error())
-		return
-	}
-	resp, err := r.ts.Client().Post(r.ts.URL+"/invoke", "application/json", strings.NewReader(string(body)))
+	resp, err := collectorhttp.Invoke(r.ts.Client(), r.ts.URL, req.Input)
 	if err != nil {
 		r.res.Refused++
 		return

@@ -14,6 +14,7 @@ import (
 	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/verifier"
+	"karousos.dev/karousos/internal/workload"
 )
 
 // requireSound fails the test on any recorded invariant violation and on
@@ -104,11 +105,8 @@ func TestOverloadSlowClient(t *testing.T) {
 // audit must reach the same verdicts with the same work counters. Group
 // commit is a durability batching strategy, never a semantic one.
 func TestCommitModeDifferential(t *testing.T) {
-	spec, err := harness.SpecByName("motd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := requestsFor(spec, 24, 11)
+	spec := harness.MOTDApp()
+	reqs := workload.MOTD(24, workload.Mixed, 11)
 
 	type observed struct {
 		digests  []string

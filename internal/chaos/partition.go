@@ -18,8 +18,6 @@
 package chaos
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,8 +29,8 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
-	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/iofault"
@@ -200,10 +198,11 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 	}
 
 	root := filepath.Join(dir, "shards")
+	spec := harness.WikiApp()
 	top, err := gateway.NewLocal(gateway.LocalConfig{
-		Spec:          harness.WikiApp(),
+		Spec:          spec,
 		Root:          root,
-		Map:           shard.Map{Shards: sc.Shards, KeyFields: []string{"id", "page"}},
+		Map:           shard.Map{Shards: sc.Shards, KeyFields: spec.KeyFields},
 		EpochRequests: sc.EpochRequests,
 		Seed:          sc.Seed,
 		Limits:        verifier.DefaultLimits(),
@@ -267,11 +266,7 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 			}
 		}
 
-		body, err := json.Marshal(map[string]any{"input": req.Input})
-		if err != nil {
-			return res, err
-		}
-		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+		resp, err := collectorhttp.Invoke(http.DefaultClient, ts.URL, req.Input)
 		if err != nil {
 			// The gateway itself must always answer; only the shards may
 			// be dark.
@@ -330,108 +325,31 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 		return res, fmt.Errorf("chaos: sealing topology: %w", err)
 	}
 
-	evidence, err := shardEvidence(root, sc.Shards)
-	if err != nil {
-		return res, err
-	}
-
 	// Invariant: acked⊆sealed per shard — every RID a client saw 200 for
 	// is a REQ in a sealed epoch of the shard that served it.
-	for s := 0; s < sc.Shards; s++ {
-		if len(ackedByShard[s]) == 0 {
-			continue
-		}
-		sealedRIDs := map[string]bool{}
-		dirS := shard.Dir(root, s)
-		manifests, err := epochlog.ListSealed(dirS)
-		if err != nil {
-			return res, err
-		}
-		for _, man := range manifests {
-			tr, _, _, err := epochlog.ReadSealed(dirS, man.Seq, epochlog.Options{})
-			if err != nil {
-				return res, err
-			}
-			for _, rid := range tr.RIDs() {
-				sealedRIDs[rid] = true
-			}
-		}
-		for rid := range ackedByShard[s] {
-			if !sealedRIDs[rid] {
-				violate("shard %d: acked rid %s missing from the sealed log", s, rid)
-			}
-		}
-	}
-
-	// The lane differential: per-shard verdicts, merge and stats must be
-	// bit-identical audited with one lane per shard and with one lane.
-	ctx := context.Background()
-	var keys []string
-	for _, lanes := range []int{sc.Shards, 1} {
-		sh, err := auditd.NewSharded(auditd.ShardedConfig{
-			Root: root, Lanes: lanes, Limits: verifier.DefaultLimits(),
-		})
-		if err != nil {
-			return res, err
-		}
-		out, err := sh.Audit(ctx)
-		if err != nil {
-			return res, err
-		}
-		keys = append(keys, shardVerdictKey(out))
-		if lanes != sc.Shards {
-			continue
-		}
-		res.Shards, res.Merge = out.Shards, out.Merge
-		victimUnauditable := false
-		for _, rep := range out.Shards {
-			for _, v := range rep.Verdicts {
-				switch v.Code {
-				case "":
-					res.Accepted++
-				case core.RejectUnauditable:
-					res.Unauditable++
-					if rep.Shard == sc.Victim {
-						victimUnauditable = true
-					} else {
-						violate("surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason)
-					}
-				default:
-					res.Rejected++
-					violate("false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason)
-				}
-			}
-		}
-		if sc.ExpectUnauditable && !victimUnauditable {
-			violate("victim shard %d has no unauditable epoch: the kill-while-dark left no stranded evidence to grade", sc.Victim)
-		}
-		if !sc.ExpectUnauditable && res.Unauditable > 0 {
-			violate("scenario without a kill graded %d epochs unauditable", res.Unauditable)
-		}
-		switch out.Merge.Code {
-		case "":
-		case core.RejectUnauditable:
-			if !sc.ExpectUnauditable {
-				violate("combined verdict unauditable without a kill: %s", out.Merge.Reason)
-			}
-		default:
-			violate("combined verdict accuses after an infrastructure fault: [%s] %s", out.Merge.Code, out.Merge.Reason)
-		}
-	}
-	if keys[0] != keys[1] {
-		violate("lane-count divergence:\n%d lanes: %s\n1 lane:  %s", sc.Shards, keys[0], keys[1])
-	}
-
-	// Evidence preservation: nothing the shards sealed disappears under
-	// audit.
-	after, err := shardEvidence(root, sc.Shards)
+	missing, err := AckedUnsealed(root, sc.Shards, ackedByShard)
 	if err != nil {
 		return res, err
 	}
-	for name := range evidence {
-		if !after[name] {
-			violate("evidence deleted: %s", name)
-		}
+	res.Violations = append(res.Violations, missing...)
+
+	out, violations, err := AuditLanes(root, sc.Shards)
+	if err != nil {
+		return res, err
 	}
+	res.Shards, res.Merge = out.Shards, out.Merge
+	g := Grade(out, sc.Victim, true, "an infrastructure fault")
+	res.Accepted, res.Unauditable, res.Rejected = g.Accepted, g.Unauditable, g.Rejected
+	res.Violations = append(res.Violations, g.Violations...)
+	if sc.ExpectUnauditable && !g.VictimUnauditable {
+		violate("victim shard %d has no unauditable epoch: the kill-while-dark left no stranded evidence to grade", sc.Victim)
+	}
+	if !sc.ExpectUnauditable && res.Unauditable > 0 {
+		violate("scenario without a kill graded %d epochs unauditable", res.Unauditable)
+	}
+	if out.Merge.Code == core.RejectUnauditable && !sc.ExpectUnauditable {
+		violate("combined verdict unauditable without a kill: %s", out.Merge.Reason)
+	}
+	res.Violations = append(res.Violations, violations...)
 	return res, nil
 }

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +10,9 @@ import (
 	"strings"
 
 	"karousos.dev/karousos/internal/auditd"
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/core"
+	"karousos.dev/karousos/internal/epochlog"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/shard"
@@ -101,10 +101,11 @@ func RunShardChaos(dir string, sc ShardScenario) (*ShardResult, error) {
 		return nil, fmt.Errorf("chaos: shard scenario kill schedule out of range")
 	}
 	root := filepath.Join(dir, "shards")
+	spec := harness.WikiApp()
 	top, err := gateway.NewLocal(gateway.LocalConfig{
-		Spec:          harness.WikiApp(),
+		Spec:          spec,
 		Root:          root,
-		Map:           shard.Map{Shards: sc.Shards, KeyFields: []string{"id", "page"}},
+		Map:           shard.Map{Shards: sc.Shards, KeyFields: spec.KeyFields},
 		EpochRequests: sc.EpochRequests,
 		Seed:          sc.Seed,
 		Limits:        verifier.DefaultLimits(),
@@ -131,11 +132,7 @@ func RunShardChaos(dir string, sc ShardScenario) (*ShardResult, error) {
 			}
 			down = false
 		}
-		body, err := json.Marshal(map[string]any{"input": req.Input})
-		if err != nil {
-			return res, err
-		}
-		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
+		resp, err := collectorhttp.Invoke(http.DefaultClient, ts.URL, req.Input)
 		if err != nil {
 			res.Refused++
 			continue
@@ -158,70 +155,136 @@ func RunShardChaos(dir string, sc ShardScenario) (*ShardResult, error) {
 		return res, fmt.Errorf("chaos: sealing topology: %w", err)
 	}
 
-	evidence, err := shardEvidence(root, sc.Shards)
+	out, violations, err := AuditLanes(root, sc.Shards)
 	if err != nil {
 		return res, err
 	}
+	res.Shards, res.Merge = out.Shards, out.Merge
+	g := Grade(out, sc.KillShard, false, "an infrastructure kill")
+	res.Accepted, res.Unauditable, res.Rejected = g.Accepted, g.Unauditable, g.Rejected
+	res.Violations = append(append(res.Violations, g.Violations...), violations...)
+	return res, nil
+}
 
-	// The differential: the same shard logs audited with one lane per
-	// shard and with a single lane must reach bit-identical per-shard
-	// verdicts, merged verdict, and summed Stats.
-	ctx := context.Background()
-	var keys []string
-	for _, lanes := range []int{sc.Shards, 1} {
-		sh, err := auditd.NewSharded(auditd.ShardedConfig{
-			Root: root, Lanes: lanes, Limits: verifier.DefaultLimits(),
-		})
-		if err != nil {
-			return res, err
-		}
-		out, err := sh.Audit(ctx)
-		if err != nil {
-			return res, err
-		}
-		keys = append(keys, shardVerdictKey(out))
-		if lanes != sc.Shards {
-			continue
-		}
-		res.Shards, res.Merge = out.Shards, out.Merge
-		for _, rep := range out.Shards {
-			for _, v := range rep.Verdicts {
-				switch v.Code {
-				case "":
-					res.Accepted++
-				case core.RejectUnauditable:
-					res.Unauditable++
-				default:
-					res.Rejected++
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason))
+// Grading tallies a post-mortem audit's per-epoch verdicts.
+type Grading struct {
+	Accepted, Unauditable, Rejected int
+	// VictimUnauditable: the faulted shard graded at least one epoch
+	// Unauditable (the partial epoch its fault stranded).
+	VictimUnauditable bool
+	Violations        []string
+}
+
+// Grade tallies out's verdicts after an infrastructure fault (cause) on
+// shard victim. A rejection anywhere, or a combined verdict other than
+// accept or Unauditable, accuses an honest run; with survivorsClean only
+// the victim may grade Unauditable.
+func Grade(out auditd.ShardedResult, victim int, survivorsClean bool, cause string) Grading {
+	var g Grading
+	for _, rep := range out.Shards {
+		for _, v := range rep.Verdicts {
+			switch v.Code {
+			case "":
+				g.Accepted++
+			case core.RejectUnauditable:
+				g.Unauditable++
+				if rep.Shard == victim {
+					g.VictimUnauditable = true
+				} else if survivorsClean {
+					g.Violations = append(g.Violations, fmt.Sprintf(
+						"surviving shard %d graded unauditable: epoch %d %s", rep.Shard, v.Epoch, v.Reason))
 				}
+			default:
+				g.Rejected++
+				g.Violations = append(g.Violations, fmt.Sprintf(
+					"false reject: shard %d epoch %d [%s] %s", rep.Shard, v.Epoch, v.Code, v.Reason))
 			}
 		}
-		switch out.Merge.Code {
-		case "", core.RejectUnauditable:
-		default:
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"combined verdict accuses after an infrastructure kill: [%s] %s", out.Merge.Code, out.Merge.Reason))
+	}
+	switch out.Merge.Code {
+	case "", core.RejectUnauditable:
+	default:
+		g.Violations = append(g.Violations, fmt.Sprintf(
+			"combined verdict accuses after %s: [%s] %s", cause, out.Merge.Code, out.Merge.Reason))
+	}
+	return g
+}
+
+// AuditLanes is the post-mortem audit of a sealed topology under root: it
+// grades the shard logs with one lane per shard, then with a single lane,
+// and returns the first result with the robustness violations it saw. The
+// two passes must reach bit-identical verdicts, merge and Stats (lane
+// scheduling never reaches a verdict), and every evidence file sealed
+// before the audits must still exist after them (an auditor never destroys
+// what it grades).
+func AuditLanes(root string, shards int) (auditd.ShardedResult, []string, error) {
+	var res auditd.ShardedResult
+	var violations []string
+	evidence, err := shardEvidence(root, shards)
+	if err != nil {
+		return res, nil, err
+	}
+	var keys [2]string
+	for i, lanes := range []int{shards, 1} {
+		sh, err := auditd.NewSharded(auditd.ShardedConfig{Root: root, Lanes: lanes, Limits: verifier.DefaultLimits()})
+		if err != nil {
+			return res, nil, err
 		}
+		out, err := sh.Audit(context.Background())
+		if err != nil {
+			return res, nil, err
+		}
+		if i == 0 {
+			res = out
+		}
+		keys[i] = shardVerdictKey(out)
 	}
 	if keys[0] != keys[1] {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"lane-count divergence:\n%d lanes: %s\n1 lane:  %s", sc.Shards, keys[0], keys[1]))
+		violations = append(violations, fmt.Sprintf("lane-count divergence:\n%d lanes: %s\n1 lane:  %s", shards, keys[0], keys[1]))
 	}
-
-	// Every evidence file sealed before the audits must still exist: an
-	// auditor never destroys what it grades.
-	after, err := shardEvidence(root, sc.Shards)
+	after, err := shardEvidence(root, shards)
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	for name := range evidence {
 		if !after[name] {
-			res.Violations = append(res.Violations, "evidence deleted: "+name)
+			violations = append(violations, "evidence deleted: "+name)
 		}
 	}
-	return res, nil
+	return res, violations, nil
+}
+
+// AckedUnsealed checks acked⊆sealed per shard: every RID a client saw a
+// 200 for (acked, keyed by shard) must be a REQ in a sealed epoch of the
+// shard that served it. It returns one violation per missing RID.
+func AckedUnsealed(root string, shards int, acked map[int]map[string]bool) ([]string, error) {
+	var violations []string
+	for s := 0; s < shards; s++ {
+		if len(acked[s]) == 0 {
+			continue
+		}
+		sealed := map[string]bool{}
+		dir := shard.Dir(root, s)
+		manifests, err := epochlog.ListSealed(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, man := range manifests {
+			tr, _, _, err := epochlog.ReadSealed(dir, man.Seq, epochlog.Options{})
+			if err != nil {
+				return nil, err
+			}
+			for _, rid := range tr.RIDs() {
+				sealed[rid] = true
+			}
+		}
+		for rid := range acked[s] {
+			if !sealed[rid] {
+				violations = append(violations, fmt.Sprintf("shard %d: acked rid %s missing from the sealed log", s, rid))
+			}
+		}
+	}
+	return violations, nil
 }
 
 // shardVerdictKey renders a sharded audit's verdict-affecting content as

@@ -29,6 +29,7 @@
 package collectorhttp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -387,6 +388,16 @@ func (c *Collector) refreshLag() {
 		lag = int(sealedThrough - audited)
 	}
 	c.adm.observeLag(lag)
+}
+
+// Invoke is the client side of POST /invoke: it posts one request input
+// to the collector (or the gateway fronting collectors) at base.
+func Invoke(c *http.Client, base string, input value.V) (*http.Response, error) {
+	body, err := json.Marshal(map[string]any{"input": input})
+	if err != nil {
+		return nil, err
+	}
+	return c.Post(base+"/invoke", "application/json", bytes.NewReader(body))
 }
 
 // Handler returns the collector's HTTP mux:

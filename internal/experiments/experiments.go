@@ -1,14 +1,16 @@
-// Package experiments regenerates the paper's evaluation (§6, Figures 6–12):
-// each figure maps to panels of rows — one row per concurrency level — that
-// report medians over several trials, exactly the quantities the paper
-// plots. cmd/karousos-bench prints these panels; bench_test.go exercises the
-// same code paths under testing.B.
+// Package experiments regenerates the paper's evaluation (§6, Figures 6–12)
+// and this module's own Figures 13–15: each figure maps to panels of rows —
+// one row per concurrency level — that report medians over several trials,
+// exactly the quantities the paper plots. One table of figure points drives
+// both the panels cmd/karousos-bench prints and the testing.B registry that
+// bench_test.go and the committed baseline run (Benchmarks).
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"karousos.dev/karousos/internal/harness"
@@ -42,14 +44,8 @@ func (cfg Config) workerLevels() []int {
 		return cfg.Workers
 	}
 	levels := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	sort.Ints(levels)
-	out := levels[:1]
-	for _, w := range levels[1:] {
-		if w != out[len(out)-1] {
-			out = append(out, w)
-		}
-	}
-	return out
+	slices.Sort(levels)
+	return slices.Compact(levels)
 }
 
 // Panel is one plot of a figure, rendered as a table.
@@ -59,24 +55,48 @@ type Panel struct {
 	Rows   [][]string
 }
 
-// workloadFor builds the named application's paper workload.
-func workloadFor(app string, mix workload.Mix, n int, seed int64) (harness.AppSpec, []server.Request) {
-	switch app {
-	case "motd":
-		return harness.MOTDApp(), workload.MOTD(n, mix, seed)
-	case "stacks":
-		return harness.StacksApp(), workload.Stacks(n, mix, seed, workload.DefaultStacksOptions())
-	case "wiki":
-		return harness.WikiApp(), workload.Wiki(n, seed)
-	case "feeds":
-		return harness.FeedsApp(), workload.Feeds(n, mix, seed)
+// load resolves app's spec and n requests of its paper workload from the
+// harness and workload tables.
+func load(app string, mix workload.Mix, n int, seed int64) (harness.AppSpec, []server.Request, error) {
+	spec, err := harness.SpecByName(app)
+	if err != nil {
+		return harness.AppSpec{}, nil, err
 	}
-	panic("experiments: unknown app " + app)
+	reqs, err := workload.For(app, mix, n, seed)
+	return spec, reqs, err
 }
 
-func median(ds []time.Duration) time.Duration {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
+// serve generates n requests of app's workload from wseed and serves them
+// at conc with the given scheduler seed.
+func serve(app string, mix workload.Mix, n int, wseed int64, conc int, seed int64, mode harness.Collect) (harness.AppSpec, *harness.ServeResult, error) {
+	spec, reqs, err := load(app, mix, n, wseed)
+	if err != nil {
+		return spec, nil, err
+	}
+	run, err := harness.Serve(spec, reqs, conc, seed, mode)
+	return spec, run, err
+}
+
+// audit grades a served run with one verifier: "karousos" at the given
+// audit workers (0 = GOMAXPROCS, 1 = the sequential engine), "unbatched"
+// (Karousos with singleton groups), "orochi", or "sequential" re-execution.
+func audit(verifier string, spec harness.AppSpec, run *harness.ServeResult, workers int) *harness.VerifyResult {
+	switch verifier {
+	case "unbatched":
+		return harness.VerifyKarousosUnbatched(spec, run.Trace, run.Karousos)
+	case "orochi":
+		return harness.VerifyOrochi(spec, run.Trace, run.Orochi)
+	case "sequential":
+		r := harness.VerifySequential(spec, run.Trace)
+		return &harness.VerifyResult{Elapsed: r.Elapsed, Err: r.Err}
+	}
+	return harness.VerifyWith(spec, run.Trace, run.Karousos, harness.VerifyOptions{Workers: workers})
+}
+
+func median[T cmp.Ordered](xs []T) T {
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func fdur(d time.Duration) string { return d.Round(10 * time.Microsecond).String() }
@@ -93,10 +113,10 @@ func ServerOverheadPanel(app string, mix workload.Mix, cfg Config) Panel {
 		var unmod, kar []time.Duration
 		for tr := 0; tr < cfg.Trials; tr++ {
 			seed := cfg.Seed + int64(tr)
-			spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
+			spec, reqs, err := load(app, mix, cfg.Requests, cfg.Seed)
+			must(err)
 			du, err := harness.ServeWarm(spec, reqs, cfg.Warmup, conc, seed, harness.CollectNone)
 			must(err)
-			spec, reqs = workloadFor(app, mix, cfg.Requests, cfg.Seed)
 			dk, err := harness.ServeWarm(spec, reqs, cfg.Warmup, conc, seed, harness.CollectKarousos)
 			must(err)
 			unmod = append(unmod, du)
@@ -119,27 +139,21 @@ func VerificationPanel(app string, mix workload.Mix, cfg Config) Panel {
 		Header: []string{"conc", "karousos", "orochi-js", "sequential", "kar-groups", "oro-groups"},
 	}
 	for _, conc := range cfg.Conc {
-		var kar, oro, seq []time.Duration
-		var kg, og int
+		var ds [3][]time.Duration
+		var groups [3]int
 		for tr := 0; tr < cfg.Trials; tr++ {
-			seed := cfg.Seed + int64(tr)
-			spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
-			run, err := harness.Serve(spec, reqs, conc, seed, harness.CollectBoth)
+			spec, run, err := serve(app, mix, cfg.Requests, cfg.Seed, conc, cfg.Seed+int64(tr), harness.CollectBoth)
 			must(err)
-			vk := harness.VerifyKarousos(spec, run.Trace, run.Karousos)
-			vo := harness.VerifyOrochi(spec, run.Trace, run.Orochi)
-			sq := harness.VerifySequential(spec, run.Trace)
-			must(vk.Err)
-			must(vo.Err)
-			must(sq.Err)
-			kar = append(kar, vk.Elapsed)
-			oro = append(oro, vo.Elapsed)
-			seq = append(seq, sq.Elapsed)
-			kg, og = vk.Stats.Groups, vo.Stats.Groups
+			for i, v := range []string{"karousos", "orochi", "sequential"} {
+				r := audit(v, spec, run, 0)
+				must(r.Err)
+				ds[i] = append(ds[i], r.Elapsed)
+				groups[i] = r.Stats.Groups
+			}
 		}
 		p.Rows = append(p.Rows, []string{
-			fmt.Sprint(conc), fdur(median(kar)), fdur(median(oro)), fdur(median(seq)),
-			fmt.Sprint(kg), fmt.Sprint(og),
+			fmt.Sprint(conc), fdur(median(ds[0])), fdur(median(ds[1])), fdur(median(ds[2])),
+			fmt.Sprint(groups[0]), fmt.Sprint(groups[1]),
 		})
 	}
 	return p
@@ -158,8 +172,7 @@ func WorkerSweepPanel(app string, mix workload.Mix, cfg Config) Panel {
 		Title:  fmt.Sprintf("karousos audit worker sweep — %s (%s), %d requests, conc %d", app, mix, cfg.Requests, conc),
 		Header: []string{"workers", "karousos", "speedup", "groups"},
 	}
-	spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
-	run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectKarousos)
+	spec, run, err := serve(app, mix, cfg.Requests, cfg.Seed, conc, cfg.Seed, harness.CollectKarousos)
 	must(err)
 	var base time.Duration
 	var baseStats *harness.VerifyResult
@@ -167,7 +180,7 @@ func WorkerSweepPanel(app string, mix workload.Mix, cfg Config) Panel {
 		var ds []time.Duration
 		var vr *harness.VerifyResult
 		for tr := 0; tr < cfg.Trials; tr++ {
-			vr = harness.VerifyWith(spec, run.Trace, run.Karousos, harness.VerifyOptions{Workers: w})
+			vr = audit("karousos", spec, run, w)
 			must(vr.Err)
 			ds = append(ds, vr.Elapsed)
 		}
@@ -194,8 +207,7 @@ func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 		Header: []string{"conc", "karousos", "orochi-js", "ratio"},
 	}
 	for _, conc := range cfg.Conc {
-		spec, reqs := workloadFor(app, mix, cfg.Requests, cfg.Seed)
-		run, err := harness.Serve(spec, reqs, conc, cfg.Seed, harness.CollectBoth)
+		_, run, err := serve(app, mix, cfg.Requests, cfg.Seed, conc, cfg.Seed, harness.CollectBoth)
 		must(err)
 		k, o := run.Karousos.Size(), run.Orochi.Size()
 		p.Rows = append(p.Rows, []string{
@@ -208,10 +220,33 @@ func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 	return p
 }
 
-// Figure returns the panels of one numbered figure of the paper.
+// kind is what one figure panel measures.
+type kind int
+
+const (
+	serverOverhead   kind = iota // Figure 6 and the (a) panels
+	verification                 // Figure 7 and the (b) panels
+	workerSweep                  // Figure 7's multi-core scaling panel
+	adviceSize                   // Figure 8 and the (c) panels
+	recordThroughput             // Figure 13
+	shardScaling                 // Figure 14
+	memoAudit                    // Figure 15
+)
+
+// point is one panel of one figure: an application and mix measured one
+// way (the non-paper figures fix their own workload).
+type point struct {
+	kind kind
+	app  string
+	mix  workload.Mix
+}
+
+// figures is the evaluation grid. Figure renders it into panels and
+// Benchmarks into testing.B bodies, so adding a figure point is one row.
 //
 //	Fig 6:  server overheads — MOTD 90% writes, stacks 90% reads, wiki
-//	Fig 7:  verification time — same three workloads
+//	Fig 7:  verification time — same three workloads, plus the audit
+//	        worker sweep
 //	Fig 8:  advice size — MOTD 90% writes, wiki (stacks omitted, §6.3)
 //	Fig 9:  MOTD mixed (server / verification / advice)
 //	Fig 10: MOTD 90% reads
@@ -225,56 +260,77 @@ func AdviceSizePanel(app string, mix workload.Mix, cfg Config) Panel {
 //	Fig 15: memo cold vs warm — the steady-state recurring workload audited
 //	        with the cross-epoch re-execution memo cache off and on (not
 //	        from the paper; DESIGN.md §18)
-func Figure(n int, cfg Config) []Panel {
-	switch n {
-	case 6:
-		return []Panel{
-			ServerOverheadPanel("motd", workload.WriteHeavy, cfg),
-			ServerOverheadPanel("stacks", workload.ReadHeavy, cfg),
-			ServerOverheadPanel("wiki", workload.Mixed, cfg),
-		}
-	case 7:
-		return []Panel{
-			VerificationPanel("motd", workload.WriteHeavy, cfg),
-			VerificationPanel("stacks", workload.ReadHeavy, cfg),
-			VerificationPanel("wiki", workload.Mixed, cfg),
-			WorkerSweepPanel("wiki", workload.Mixed, cfg),
-		}
-	case 8:
-		return []Panel{
-			AdviceSizePanel("motd", workload.WriteHeavy, cfg),
-			AdviceSizePanel("wiki", workload.Mixed, cfg),
-		}
-	case 9:
-		return appFigure("motd", workload.Mixed, cfg)
-	case 10:
-		return appFigure("motd", workload.ReadHeavy, cfg)
-	case 11:
-		return appFigure("stacks", workload.Mixed, cfg)
-	case 12:
-		return appFigure("stacks", workload.WriteHeavy, cfg)
-	case 13:
-		return []Panel{RecordThroughputPanel(cfg)}
-	case 14:
-		return []Panel{ShardScalingPanel(cfg)}
-	case 15:
-		return []Panel{MemoAuditPanel(cfg)}
-	}
-	panic(fmt.Sprintf("experiments: no figure %d", n))
+var figures = map[int][]point{
+	6: {
+		{serverOverhead, "motd", workload.WriteHeavy},
+		{serverOverhead, "stacks", workload.ReadHeavy},
+		{serverOverhead, "wiki", workload.Mixed},
+	},
+	7: {
+		{verification, "motd", workload.WriteHeavy},
+		{verification, "stacks", workload.ReadHeavy},
+		{verification, "wiki", workload.Mixed},
+		{workerSweep, "wiki", workload.Mixed},
+	},
+	8: {
+		{adviceSize, "motd", workload.WriteHeavy},
+		{adviceSize, "wiki", workload.Mixed},
+	},
+	9:  appFigure("motd", workload.Mixed),
+	10: appFigure("motd", workload.ReadHeavy),
+	11: appFigure("stacks", workload.Mixed),
+	12: appFigure("stacks", workload.WriteHeavy),
+	13: {{kind: recordThroughput}},
+	14: {{kind: shardScaling, app: "wiki"}},
+	15: {{kind: memoAudit, app: "feeds"}},
 }
 
 // appFigure is the Appendix B layout: one application and mix across the
 // three panel kinds (a: server overhead, b: verification, c: advice size).
-func appFigure(app string, mix workload.Mix, cfg Config) []Panel {
-	return []Panel{
-		ServerOverheadPanel(app, mix, cfg),
-		VerificationPanel(app, mix, cfg),
-		AdviceSizePanel(app, mix, cfg),
-	}
+func appFigure(app string, mix workload.Mix) []point {
+	return []point{{serverOverhead, app, mix}, {verification, app, mix}, {adviceSize, app, mix}}
 }
 
-// Figures lists the figure numbers this package can regenerate.
-func Figures() []int { return []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15} }
+// Figure returns the panels of one numbered figure.
+func Figure(n int, cfg Config) []Panel {
+	points, ok := figures[n]
+	if !ok {
+		panic(fmt.Sprintf("experiments: no figure %d", n))
+	}
+	panels := make([]Panel, len(points))
+	for i, p := range points {
+		panels[i] = p.panel(cfg)
+	}
+	return panels
+}
+
+func (p point) panel(cfg Config) Panel {
+	switch p.kind {
+	case serverOverhead:
+		return ServerOverheadPanel(p.app, p.mix, cfg)
+	case verification:
+		return VerificationPanel(p.app, p.mix, cfg)
+	case workerSweep:
+		return WorkerSweepPanel(p.app, p.mix, cfg)
+	case adviceSize:
+		return AdviceSizePanel(p.app, p.mix, cfg)
+	case recordThroughput:
+		return RecordThroughputPanel(cfg)
+	case shardScaling:
+		return ShardScalingPanel(cfg)
+	}
+	return MemoAuditPanel(cfg)
+}
+
+// Figures lists the figure numbers this package can regenerate, in order.
+func Figures() []int {
+	ns := make([]int, 0, len(figures))
+	for n := range figures {
+		ns = append(ns, n)
+	}
+	slices.Sort(ns)
+	return ns
+}
 
 func must(err error) {
 	if err != nil {

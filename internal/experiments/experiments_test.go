@@ -45,6 +45,30 @@ func TestAllFiguresProducePanels(t *testing.T) {
 	}
 }
 
+// TestBenchmarkRegistry: names are unique, and the baseline set is exactly
+// the committed baseline's entries, each backed by a registry body.
+func TestBenchmarkRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	gated := 0
+	for _, bm := range Benchmarks(30) {
+		if seen[bm.Name] || bm.Fn == nil {
+			t.Errorf("duplicate or empty entry %q", bm.Name)
+		}
+		seen[bm.Name] = true
+		if bm.Baseline {
+			gated++
+		}
+	}
+	for _, name := range baseline {
+		if !seen[name] {
+			t.Errorf("baseline entry %q has no registry body", name)
+		}
+	}
+	if gated != len(baseline) || gated != 17 {
+		t.Errorf("%d registry entries gated, %d baseline names, want 17", gated, len(baseline))
+	}
+}
+
 func TestUnknownFigurePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

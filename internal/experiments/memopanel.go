@@ -1,18 +1,16 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
 	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/workload"
 )
 
@@ -36,6 +34,15 @@ const memoEpochs = 16
 // sub-stream bit-identical across epochs and the remainder re-seeded per
 // epoch — exactly the log karousos-auditd -memo is built for.
 func BuildMemoLog(dir string, epochs, perEpoch int, repeat float64, seed int64) error {
+	var reqs []server.Request
+	for e := 0; e < epochs; e++ {
+		base := workload.Feeds(perEpoch, workload.Mixed, seed+int64(e))
+		rs, err := workload.WithRepeats(base, "feeds", repeat, seed)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, rs...)
+	}
 	col, err := collectorhttp.New(collectorhttp.Config{
 		Spec:          harness.FeedsApp(),
 		Dir:           dir,
@@ -45,34 +52,7 @@ func BuildMemoLog(dir string, epochs, perEpoch int, repeat float64, seed int64) 
 	if err != nil {
 		return err
 	}
-	ts := httptest.NewServer(col.Handler())
-	defer ts.Close()
-	for e := 0; e < epochs; e++ {
-		base := workload.Feeds(perEpoch, workload.Mixed, seed+int64(e))
-		reqs, err := workload.WithRepeats(base, "feeds", repeat, seed)
-		if err != nil {
-			col.Close()
-			return err
-		}
-		for _, r := range reqs {
-			body, err := json.Marshal(map[string]any{"input": r.Input})
-			if err != nil {
-				col.Close()
-				return err
-			}
-			resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-			if err != nil {
-				col.Close()
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				col.Close()
-				return fmt.Errorf("experiments: memo log invoke: status %d", resp.StatusCode)
-			}
-		}
-	}
-	return col.Close()
+	return errors.Join(invokeAll(col.Handler(), reqs), col.Close())
 }
 
 // auditMemoLog grades the whole log from scratch (fresh auditor, no

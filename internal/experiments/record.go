@@ -81,7 +81,7 @@ func RecordThroughputPanel(cfg Config) Panel {
 			per = append(per, tp)
 			grp = append(grp, tg)
 		}
-		mp, mg := medianF(per), medianF(grp)
+		mp, mg := median(per), median(grp)
 		p.Rows = append(p.Rows, []string{
 			fmt.Sprint(conc),
 			fmt.Sprintf("%.0f ev/s", mp),
@@ -101,14 +101,4 @@ func recordEvents(cfg Config) int {
 		n = 512
 	}
 	return n
-}
-
-func medianF(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted[len(sorted)/2]
 }

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,8 +10,10 @@ import (
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
+	"karousos.dev/karousos/internal/collectorhttp"
 	"karousos.dev/karousos/internal/gateway"
 	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 	"karousos.dev/karousos/internal/shard"
 	"karousos.dev/karousos/internal/verifier"
 	"karousos.dev/karousos/internal/workload"
@@ -37,10 +38,11 @@ func shardEpochRequests(requests, shards int) int {
 // shardmap.json plus one epoch log per shard, exactly what
 // karousos-auditd audit -shards consumes.
 func BuildShardTopology(root string, shards, requests int, seed int64) error {
+	spec := harness.WikiApp()
 	top, err := gateway.NewLocal(gateway.LocalConfig{
-		Spec:          harness.WikiApp(),
+		Spec:          spec,
 		Root:          root,
-		Map:           shard.Map{Shards: shards, KeyFields: []string{"id", "page"}},
+		Map:           shard.Map{Shards: shards, KeyFields: spec.KeyFields},
 		EpochRequests: shardEpochRequests(requests, shards),
 		Seed:          seed,
 		Limits:        verifier.DefaultLimits(),
@@ -48,29 +50,25 @@ func BuildShardTopology(root string, shards, requests int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ts := httptest.NewServer(top.Gateway.Handler())
-	for _, r := range workload.Wiki(requests, seed) {
-		body, err := json.Marshal(map[string]any{"input": r.Input})
+	return errors.Join(invokeAll(top.Gateway.Handler(), workload.Wiki(requests, seed)), top.Close())
+}
+
+// invokeAll posts each request's input, in order, to h's /invoke endpoint
+// over a loopback server and fails on the first non-200 answer.
+func invokeAll(h http.Handler, reqs []server.Request) error {
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	for _, r := range reqs {
+		resp, err := collectorhttp.Invoke(http.DefaultClient, ts.URL, r.Input)
 		if err != nil {
-			ts.Close()
-			top.Close()
-			return err
-		}
-		resp, err := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-		if err != nil {
-			ts.Close()
-			top.Close()
 			return err
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			ts.Close()
-			top.Close()
-			return fmt.Errorf("experiments: shard topology invoke: status %d", resp.StatusCode)
+			return fmt.Errorf("experiments: invoke: status %d", resp.StatusCode)
 		}
 	}
-	ts.Close()
-	return top.Close()
+	return nil
 }
 
 // auditShardTopology audits a sealed topology from scratch (no

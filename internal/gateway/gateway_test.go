@@ -17,7 +17,7 @@ import (
 )
 
 func wikiMap(shards int) shard.Map {
-	return shard.Map{Shards: shards, KeyFields: []string{"id", "page"}}
+	return shard.Map{Shards: shards, KeyFields: harness.WikiApp().KeyFields}
 }
 
 func postInvoke(t *testing.T, url string, input value.V) *http.Response {

@@ -34,6 +34,10 @@ type AppSpec struct {
 	Name      string
 	UsesStore bool
 	Isolation adya.Level
+	// KeyFields are the request-input fields a sharded topology routes by
+	// (shard.Map.KeyFields), tried in order: the field naming the state a
+	// request touches, so requests over the same state share a shard.
+	KeyFields []string
 	// New returns a fresh application and, when UsesStore, a fresh store.
 	New func() (*core.App, *kvstore.Store)
 }
@@ -41,8 +45,9 @@ type AppSpec struct {
 // MOTDApp returns the message-of-the-day application spec.
 func MOTDApp() AppSpec {
 	return AppSpec{
-		Name: "motd",
-		New:  func() (*core.App, *kvstore.Store) { return motd.New(), nil },
+		Name:      "motd",
+		KeyFields: []string{"day"},
+		New:       func() (*core.App, *kvstore.Store) { return motd.New(), nil },
 	}
 }
 
@@ -53,6 +58,7 @@ func StacksApp() AppSpec {
 		Name:      "stacks",
 		UsesStore: true,
 		Isolation: adya.Serializable,
+		KeyFields: []string{"dump"},
 		New: func() (*core.App, *kvstore.Store) {
 			return stacks.New(), kvstore.New(kvstore.Serializable)
 		},
@@ -65,6 +71,7 @@ func WikiApp() AppSpec {
 		Name:      "wiki",
 		UsesStore: true,
 		Isolation: adya.Serializable,
+		KeyFields: []string{"id", "page"},
 		New: func() (*core.App, *kvstore.Store) {
 			return wiki.New(), kvstore.New(kvstore.Serializable)
 		},
@@ -75,24 +82,23 @@ func WikiApp() AppSpec {
 // recurring workload of the memo-cache experiments (DESIGN.md §18).
 func FeedsApp() AppSpec {
 	return AppSpec{
-		Name: "feeds",
-		New:  func() (*core.App, *kvstore.Store) { return feeds.New(), nil },
+		Name:      "feeds",
+		KeyFields: []string{"board"},
+		New:       func() (*core.App, *kvstore.Store) { return feeds.New(), nil },
 	}
 }
 
+// Apps lists every bundled application, freshly built.
+func Apps() []AppSpec { return []AppSpec{MOTDApp(), StacksApp(), WikiApp(), FeedsApp()} }
+
 // SpecByName resolves an application by its recorded name — the inverse of
-// AppSpec.Name, used by tools that rediscover the app from a run directory
-// or epoch log sidecar.
+// AppSpec.Name, used by every tool that takes an -app flag or rediscovers
+// the app from a run directory or epoch log sidecar.
 func SpecByName(name string) (AppSpec, error) {
-	switch name {
-	case "motd":
-		return MOTDApp(), nil
-	case "stacks":
-		return StacksApp(), nil
-	case "wiki":
-		return WikiApp(), nil
-	case "feeds":
-		return FeedsApp(), nil
+	for _, spec := range Apps() {
+		if spec.Name == name {
+			return spec, nil
+		}
 	}
 	return AppSpec{}, fmt.Errorf("harness: unknown app %q (motd, stacks, wiki, feeds)", name)
 }

@@ -8,14 +8,11 @@ import (
 )
 
 func requestsFor(spec AppSpec, n int, seed int64) []server.Request {
-	switch spec.Name {
-	case "motd":
-		return workload.MOTD(n, workload.Mixed, seed)
-	case "stacks":
-		return workload.Stacks(n, workload.Mixed, seed, workload.DefaultStacksOptions())
-	default:
-		return workload.Wiki(n, seed)
+	reqs, err := workload.For(spec.Name, workload.Mixed, n, seed)
+	if err != nil {
+		panic(err)
 	}
+	return reqs
 }
 
 // TestEndToEndSmoke runs the full pipeline — serve with both advice

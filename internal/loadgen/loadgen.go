@@ -119,18 +119,12 @@ func requests(cfg Config) ([]server.Request, error) {
 		mix = workload.Mixed
 	}
 	app := strings.ToLower(cfg.App)
-	var reqs []server.Request
-	switch app {
-	case "", "motd":
-		reqs = workload.MOTD(cfg.Requests, mix, cfg.Seed)
-	case "stacks":
-		reqs = workload.Stacks(cfg.Requests, mix, cfg.Seed, workload.DefaultStacksOptions())
-	case "wiki":
-		reqs = workload.Wiki(cfg.Requests, cfg.Seed)
-	case "feeds":
-		reqs = workload.Feeds(cfg.Requests, mix, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("loadgen: unknown app %q", cfg.App)
+	if app == "" {
+		app = "motd"
+	}
+	reqs, err := workload.For(app, mix, cfg.Requests, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	return workload.WithRepeats(reqs, app, cfg.RepeatMix, cfg.Seed)
 }

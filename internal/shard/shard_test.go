@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"karousos.dev/karousos/internal/harness"
 	"karousos.dev/karousos/internal/trace"
 	"karousos.dev/karousos/internal/value"
 )
@@ -24,7 +25,7 @@ func TestValidate(t *testing.T) {
 // TestLocalityKey: the first present KeyFields entry wins; inputs missing
 // every field (or not map-shaped) hash whole.
 func TestLocalityKey(t *testing.T) {
-	m := Map{Shards: 4, KeyFields: []string{"id", "page"}}
+	m := Map{Shards: 4, KeyFields: harness.WikiApp().KeyFields}
 	render := value.Normalize(value.Map("op", "render", "id", "page-03"))
 	comment := value.Normalize(value.Map("op", "comment", "page", "page-03", "text", "hi"))
 	if got := m.LocalityKey(render); value.Digest(got) != value.Digest(value.Normalize("page-03")) {
@@ -49,7 +50,7 @@ func TestLocalityKey(t *testing.T) {
 // TestShardOfStableAndInRange: assignment is a pure function of the input
 // (recomputable by any auditor) and always lands in range.
 func TestShardOfStableAndInRange(t *testing.T) {
-	m := Map{Shards: 4, KeyFields: []string{"id", "page"}}
+	m := Map{Shards: 4, KeyFields: harness.WikiApp().KeyFields}
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		in := value.Normalize(value.Map("op", "render", "id", pageID(i)))
@@ -124,7 +125,7 @@ func TestCheckRouting(t *testing.T) {
 
 func TestDirsAndMapRoundTrip(t *testing.T) {
 	root := t.TempDir()
-	m := Map{Shards: 3, KeyFields: []string{"id", "page"}, SharedKeyPrefixes: []string{"config:"}}
+	m := Map{Shards: 3, KeyFields: harness.WikiApp().KeyFields, SharedKeyPrefixes: []string{"config:"}}
 	if got := Dir(root, 2); got != filepath.Join(root, "shard-02") {
 		t.Fatalf("Dir = %q", got)
 	}

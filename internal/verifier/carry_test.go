@@ -72,14 +72,9 @@ func auditChain(t *testing.T, spec harness.AppSpec, eps []epoch, mode advice.Mod
 func TestCarryChainAllApps(t *testing.T) {
 	for _, spec := range []harness.AppSpec{harness.MOTDApp(), harness.StacksApp(), harness.WikiApp()} {
 		t.Run(spec.Name, func(t *testing.T) {
-			var reqs []server.Request
-			switch spec.Name {
-			case "motd":
-				reqs = workload.MOTD(60, workload.Mixed, 11)
-			case "stacks":
-				reqs = workload.Stacks(60, workload.Mixed, 11, workload.DefaultStacksOptions())
-			default:
-				reqs = workload.Wiki(60, 11)
+			reqs, err := workload.For(spec.Name, workload.Mixed, 60, 11)
+			if err != nil {
+				t.Fatal(err)
 			}
 			batches := [][]server.Request{reqs[:20], reqs[20:40], reqs[40:]}
 			eps := serveEpochs(t, spec, batches)

@@ -125,6 +125,23 @@ func Stacks(n int, mix Mix, seed int64, opts StacksOptions) []server.Request {
 	return reqs
 }
 
+// For generates n requests of app's paper workload at the given mix (the
+// wiki's mix is fixed, so mix is ignored there). It is the one app-name to
+// request-stream table; an unknown name is an error.
+func For(app string, mix Mix, n int, seed int64) ([]server.Request, error) {
+	switch app {
+	case "motd":
+		return MOTD(n, mix, seed), nil
+	case "stacks":
+		return Stacks(n, mix, seed, DefaultStacksOptions()), nil
+	case "wiki":
+		return Wiki(n, seed), nil
+	case "feeds":
+		return Feeds(n, mix, seed), nil
+	}
+	return nil, fmt.Errorf("workload: unknown app %q", app)
+}
+
 // Repeats is app's fixed pool of recurring request shapes: read-only
 // inputs, byte-identical every time they recur, the steady-state traffic
 // that gives cross-epoch deduplicated re-execution its cache hits. The

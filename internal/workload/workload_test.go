@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"karousos.dev/karousos/internal/apps/appkit"
+	"karousos.dev/karousos/internal/harness"
+	"karousos.dev/karousos/internal/server"
 )
 
 func TestMOTDMixRatios(t *testing.T) {
@@ -213,6 +216,42 @@ func TestWithRepeatsValidation(t *testing.T) {
 			default:
 				t.Errorf("%s recurring pool contains non-read op %q", app, op)
 			}
+		}
+	}
+}
+
+// TestForCoversEveryApp: For is the one app-name to stream table, so every
+// application SpecByName knows must map to its own generator (never a
+// fallback to another app's stream), and an unknown name is an error.
+func TestForCoversEveryApp(t *testing.T) {
+	gens := map[string]func(mix Mix, n int, seed int64) []server.Request{
+		"motd":   func(mix Mix, n int, seed int64) []server.Request { return MOTD(n, mix, seed) },
+		"stacks": func(mix Mix, n int, seed int64) []server.Request { return Stacks(n, mix, seed, DefaultStacksOptions()) },
+		"wiki":   func(_ Mix, n int, seed int64) []server.Request { return Wiki(n, seed) },
+		"feeds":  func(mix Mix, n int, seed int64) []server.Request { return Feeds(n, mix, seed) },
+	}
+	for _, spec := range harness.Apps() {
+		if _, err := harness.SpecByName(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+		gen, ok := gens[spec.Name]
+		if !ok {
+			t.Errorf("app %q has no generator in this test", spec.Name)
+			continue
+		}
+		for _, mix := range []Mix{ReadHeavy, WriteHeavy, Mixed} {
+			got, err := For(spec.Name, mix, 50, 3)
+			if err != nil {
+				t.Fatalf("For(%q): %v", spec.Name, err)
+			}
+			if want := gen(mix, 50, 3); !reflect.DeepEqual(got, want) {
+				t.Errorf("For(%q, %s) differs from the app's generator", spec.Name, mix)
+			}
+		}
+	}
+	for _, name := range []string{"", "nope", "Wiki"} {
+		if _, err := For(name, Mixed, 5, 1); err == nil {
+			t.Errorf("For(%q) should fail", name)
 		}
 	}
 }
