@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	"karousos.dev/karousos"
 )
@@ -28,6 +29,9 @@ const (
 // in one handler and commits in a continuation, so transactions genuinely
 // span handlers.
 func newInventory() (*karousos.App, *karousos.Store) {
+	// open carries a list's transaction to its commit continuation; the
+	// parallel verifier runs groups concurrently, so mu guards it.
+	var mu sync.Mutex
 	open := map[karousos.RID]*karousos.Tx{}
 	app := &karousos.App{Name: "inventory", RequestEvent: "request"}
 	app.Init = func(ctx *karousos.Context) {
@@ -60,12 +64,16 @@ func newInventory() (*karousos.App, *karousos.Store) {
 				ctx.Respond(ctx.Scalar(karousos.Map("status", "retry")))
 				return
 			}
+			mu.Lock()
 			open[ctx.RIDs()[0]] = tx
+			mu.Unlock()
 			ctx.Emit(evCommit, rows)
 		},
 		fnCommit: func(ctx *karousos.Context, rows *karousos.MV) {
+			mu.Lock()
 			tx := open[ctx.RIDs()[0]]
 			delete(open, ctx.RIDs()[0])
+			mu.Unlock()
 			if !ctx.BranchBool("list-commit-ok", ctx.Commit(tx)) {
 				ctx.Respond(ctx.Scalar(karousos.Map("status", "retry")))
 				return

@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"karousos.dev/karousos/internal/auditd"
@@ -54,6 +55,11 @@ const (
 	// sound.
 	PartitionFlap = "flap"
 )
+
+// partitionTick is how much breaker time one scripted request takes: with
+// the 150ms open window below, a tripped breaker fast-fails the victim's
+// traffic for the next 15 requests before it half-opens.
+const partitionTick = 10 * time.Millisecond
 
 // PartitionScenario scripts misfortune against the network of a
 // gateway-fronted shard topology.
@@ -189,7 +195,15 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 	// PerTryTimeout. Tight breaker + backoff keep the run deterministic in
 	// shape without real-time sleeps dominating.
 	inj.MaxBlock = 50 * time.Millisecond
+	// The breakers run on request-indexed time: each scripted request
+	// advances the clock by partitionTick, so open windows, half-open
+	// probes and fast-fails land on the same requests in every replay
+	// however long the blackholed tries took on the wall.
+	var tick atomic.Int64
 	tuning := gateway.Tuning{
+		Now: func() time.Time {
+			return time.Unix(0, 0).Add(time.Duration(tick.Load()) * partitionTick)
+		},
 		PerTryTimeout:   250 * time.Millisecond,
 		BreakerFailures: 3,
 		BreakerOpenFor:  150 * time.Millisecond,
@@ -230,6 +244,7 @@ func RunPartition(dir string, sc PartitionScenario) (*PartitionResult, error) {
 	faultArmed, down := false, false
 	m := top.Map
 	for i, req := range workload.Wiki(sc.Requests, sc.Seed) {
+		tick.Store(int64(i))
 		// Fault arming waits for "mid-epoch": the victim must hold a
 		// nonempty open epoch so a kill while dark provably strands
 		// evidence.

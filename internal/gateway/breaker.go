@@ -53,14 +53,17 @@ type breaker struct {
 	opened   uint64
 }
 
-func newBreaker(threshold int, openFor time.Duration) *breaker {
+func newBreaker(threshold int, openFor time.Duration, now func() time.Time) *breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
 	if openFor <= 0 {
 		openFor = time.Second
 	}
-	return &breaker{threshold: threshold, openFor: openFor, now: time.Now}
+	if now == nil {
+		now = time.Now
+	}
+	return &breaker{threshold: threshold, openFor: openFor, now: now}
 }
 
 // allow reports whether a request may proceed. In half-open exactly one

@@ -124,7 +124,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	breakers := make([]*breaker, cfg.Map.Shards)
 	for i := range breakers {
-		breakers[i] = newBreaker(tuning.BreakerFailures, tuning.BreakerOpenFor)
+		breakers[i] = newBreaker(tuning.BreakerFailures, tuning.BreakerOpenFor, tuning.Now)
 	}
 	return &Gateway{
 		cfg:      cfg,

@@ -30,6 +30,11 @@ type Tuning struct {
 	// half-open probe (default 1s).
 	BreakerFailures int
 	BreakerOpenFor  time.Duration
+	// Now is the clock the breakers measure their open window on
+	// (default time.Now). A replayed scenario passes a request-indexed
+	// clock so its fast-fail/half-open decisions do not depend on how
+	// long each try took on the wall.
+	Now func() time.Time
 	// HedgeAfter, when >0, races a second identical GET against any
 	// health/status probe still unanswered after this long — idempotent
 	// requests only, first answer wins.
@@ -58,6 +63,9 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.Backoff.Max <= 0 {
 		t.Backoff.Max = 250 * time.Millisecond
+	}
+	if t.Now == nil {
+		t.Now = time.Now
 	}
 	return t
 }
